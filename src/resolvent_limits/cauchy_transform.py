@@ -7,11 +7,21 @@ shadow of the sandwiched resolvent:
     C(z) = integral of w(x)^2 rho(x) / (x - z) dx
          + sum over atoms of m_j * w(loc_j)^2 / (loc_j - z).
 
-Off the real axis ``C`` is computed by adaptive panel quadrature with panels
-near Re z capped at width |Im z| / 4.  On-axis boundary values use the
-Privalov/Plemelj structure: a principal value obtained by singularity
-subtraction on a symmetric window plus the jump term ``i pi w(lam)^2
-rho(lam)``, valid when density and weight are Holder at ``lam``.
+One singularity-subtraction kernel serves Im z != 0 and the boundary value
+at Im z = 0+.  The a.c. hull is cut into pieces at every structure point and
+at Re z.  On each piece [lo, hi], with phi = w^2 rho and c the value of phi at
+clamp(Re z, lo, hi) taken from inside the piece,
+
+    integral of phi / (x - z) = integral of (phi - c) / (x - z)
+                                + c * [log(hi - z) - log(lo - z)].
+
+The subtracted integrand is bounded near Re z for Lipschitz phi and only
+integrably singular for Holder phi, so panel quadrature resolves it; breakpoints
+graded geometrically toward the clamp point, down to about half its distance
+from z, make the panel error estimate see the O(y |phi'|) term that lives
+within |Im z| of Re z.  At Im z = 0+ the logs take the branch below the axis,
+which yields the principal value plus the Plemelj jump ``i pi w(lam)^2
+rho(lam)`` directly, valid when density and weight are Holder at ``lam``.
 
 Near/far splitting truncates densities at ``lam +- eps`` and routes atoms by
 the open interval ``(lam - eps, lam + eps)``; the far part obeys the a priori
@@ -20,13 +30,13 @@ bound ``|C_far| <= (integral of w^2 d mu_far) / eps``.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AtomAtProbe, NonrealRequired, NotHolder
-from .quadrature import integrate_adaptive
+from .quadrature import DEFAULT_ABS_TOL, integrate_adaptive
 from .spectral_model import HolderEstimate, SpectralMeasure, WeightFunction
 
 __all__ = [
@@ -40,7 +50,7 @@ __all__ = [
     "weighted_mass",
 ]
 
-DEFAULT_ABS_TOL = 1e-10
+GRADING = 0.25  # ratio of successive seed distances toward the clamp point
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,7 @@ class TransformValue:
     value: complex
     abs_error_estimate: float
     panels_used: int
+    tolerance_met: bool = True
 
 
 @dataclass(frozen=True)
@@ -69,30 +80,68 @@ def _phi_factory(measure: SpectralMeasure, weight: WeightFunction):
     return phi
 
 
-def _structure_points(measure: SpectralMeasure, weight: WeightFunction) -> list:
-    pts = set(measure.breakpoints())
-    pts.update(weight.support)
-    pts.update(weight.breakpoints())
-    return sorted(pts)
-
-
-def _ac_segments(measure: SpectralMeasure, weight: WeightFunction) -> list:
-    """Disjoint intervals covering {w^2 * rho != 0}, overlaps merged."""
+def _piece_edges(measure: SpectralMeasure, weight: WeightFunction, cuts: tuple = ()) -> list:
+    """Edges of the pieces of the hull of {w^2 rho != 0}: the hull's ends and
+    the structure points (support edges, kinks, cusps) and ``cuts`` inside it.
+    Empty when the hull is."""
+    if not measure.ac_parts:
+        return []
     wlo, whi = weight.support
-    raw = []
-    for part in measure.ac_parts:
-        lo, hi = part.support
-        lo, hi = max(lo, wlo), min(hi, whi)
-        if lo < hi:
-            raw.append((lo, hi))
-    raw.sort()
-    merged: list = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    a = max(min(p.support[0] for p in measure.ac_parts), wlo)
+    b = min(max(p.support[1] for p in measure.ac_parts), whi)
+    if not a < b:
+        return []
+    points = (*measure.breakpoints(), *weight.support, *weight.breakpoints(), *cuts)
+    return sorted({a, b}.union(p for p in points if a < p < b))
+
+
+def _inner_value(measure: SpectralMeasure, weight: WeightFunction, p: float, lo: float, hi: float) -> float:
+    """w^2 rho at an edge p of the piece [lo, hi], as the limit from inside it.
+
+    Every catalog family is continuous on its closed support, so summing the
+    parts that cover the piece gives the one-sided value at a density jump.
+    """
+    rho = sum(part(p) for part in measure.ac_parts if part.support[0] <= lo and hi <= part.support[1])
+    return weight(p) ** 2 * rho
+
+
+def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs_tol: float) -> TransformValue:
+    """C(z) by singularity subtraction; Im z = 0 is read as 0+."""
+    x0, y = z.real, z.imag
+    total = sum(a.mass * weight(a.location) ** 2 / (a.location - z) for a in measure.atoms) + 0.0j
+    edges = _piece_edges(measure, weight, cuts=(x0,))
+    if not edges:
+        return TransformValue(total, 0.0, 0)
+
+    pieces = list(zip(edges[:-1], edges[1:]))
+    near = [min(max(x0, lo), hi) for lo, hi in pieces]
+    cs = np.array([_inner_value(measure, weight, p, lo, hi) for p, (lo, hi) in zip(near, pieces)])
+    # sum of c_k [log(hi_k - z) - log(lo_k - z)], gathered edge by edge
+    for e, rise in zip(edges, np.diff(cs, prepend=0.0, append=0.0)):
+        if rise != 0.0:
+            if e == x0 and y == 0.0:
+                raise NotHolder(f"w^2 rho jumps at lam={x0}: the principal value diverges")
+            total -= rise * cmath.log(complex(e - x0, -y))
+
+    seeds = []
+    for p, (lo, hi) in zip(near, pieces):
+        reach = abs(complex(p - x0, y))
+        step = GRADING * (hi - lo)
+        while 0.0 < 0.5 * reach < step:
+            seeds.append(p + step if p == lo else p - step)
+            step *= GRADING
+    phi = _phi_factory(measure, weight)
+    inner = np.array(edges[1:-1])
+
+    def subtracted(x):
+        # real at y = 0+, so a subnormal x - lam cannot overflow a complex division
+        d = x - z if y else x - x0
+        num = phi(x) - cs[np.searchsorted(inner, x, side="right")]
+        # a node rounded onto Re z at y = 0 sits on an integrable singularity
+        return np.divide(num, d, out=np.zeros_like(d), where=d != 0)
+
+    res = integrate_adaptive(subtracted, edges[0], edges[-1], abs_tol=abs_tol, breakpoints=edges[1:-1] + seeds)
+    return TransformValue(total + res.value, res.error, res.panels, res.tolerance_met)
 
 
 def evaluate_offaxis(
@@ -101,52 +150,14 @@ def evaluate_offaxis(
     z: complex,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> TransformValue:
-    """Evaluate C(z) for Im z != 0.
+    """Evaluate C(z) for Im z != 0 with the singularity-subtraction kernel.
 
-    The a.c. contribution uses adaptive panels with width near Re z capped at
-    |Im z| / 4; atoms are added in closed form.  Raises NonrealRequired on the
-    real axis.
+    Atoms are added in closed form.  Raises NonrealRequired on the real axis.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise NonrealRequired(f"evaluate_offaxis needs Im z != 0, got z={z}")
-
-    phi = _phi_factory(measure, weight)
-    x0, y = z.real, abs(z.imag)
-    cap_zone = (x0 - 2.0 * y, x0 + 2.0 * y)
-    cap_width = 0.25 * y
-    structure = _structure_points(measure, weight)
-
-    segments = _ac_segments(measure, weight)
-    total = 0.0 + 0.0j
-    err = 0.0
-    panels = 0
-    tol_each = abs_tol / max(len(segments), 1)
-    for lo, hi in segments:
-        res = integrate_adaptive(
-            lambda x: phi(x) / (x - z),
-            lo,
-            hi,
-            abs_tol=tol_each,
-            breakpoints=[p for p in structure if lo < p < hi],
-            cap_zone=cap_zone,
-            cap_width=cap_width,
-        )
-        total += res.value
-        err += res.error
-        panels += res.panels
-
-    for atom in measure.atoms:
-        total += atom.mass * weight(atom.location) ** 2 / (atom.location - z)
-
-    return TransformValue(value=total, abs_error_estimate=err, panels_used=panels)
-
-
-def _default_window(measure: SpectralMeasure, weight: WeightFunction, lam: float) -> float:
-    """Half the distance from lam to the nearest structure point."""
-    dists = [abs(p - lam) for p in _structure_points(measure, weight) if p != lam]
-    dists = [d for d in dists if d > 0.0]
-    return 0.5 * min(dists) if dists else 1.0
+    return _transform(measure, weight, z, abs_tol)
 
 
 def _certify_holder(
@@ -165,103 +176,38 @@ def _certify_holder(
         raise NotHolder(f"catalog reports non-Holder data at lam={lam}")
 
 
-def principal_value(
-    measure: SpectralMeasure,
-    weight: WeightFunction,
-    lam: float,
-    certificate: HolderEstimate | None = None,
-    delta: float | None = None,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> float:
-    """Principal value of the boundary integrand at ``lam``.
-
-    Singularity subtraction: on the window [lam - delta, lam + delta] the
-    integrand is replaced by ``(phi(x) - phi(lam)) / (x - lam)`` (integrable
-    for Holder phi); outside the window plain quadrature applies; a
-    ``phi(lam) * log`` correction restores the subtracted term whenever the
-    window had to be clipped asymmetrically at a support edge.  Atom terms
-    ``m_j w(loc_j)^2 / (loc_j - lam)`` are added in closed form.
-
-    ``certificate`` carries a fitted Holder exponent when the catalog cannot
-    vouch for the data; nonpositive exponents are rejected.
-    """
-    for atom in measure.atoms:
-        if atom.location == lam:
-            raise AtomAtProbe(f"atom at {atom.location} coincides with probe point")
-    _certify_holder(measure, weight, lam, certificate)
-
-    phi = _phi_factory(measure, weight)
-    phi_lam = float(phi(np.asarray([lam]))[0])
-    if delta is None:
-        delta = _default_window(measure, weight, lam)
-    if delta <= 0.0:
-        raise ValueError("subtraction window delta must be positive")
-
-    structure = _structure_points(measure, weight)
-    segments = _ac_segments(measure, weight)
-
-    total = 0.0
-    err = 0.0
-    # window: clip to the union of ac segments so the log correction matches
-    # the actual integration limits around lam
-    win_lo_full, win_hi_full = lam - delta, lam + delta
-    for lo, hi in segments:
-        wlo, whi = max(lo, win_lo_full), min(hi, win_hi_full)
-        inner_breaks = [p for p in structure if lo < p < hi]
-        if wlo < whi:
-            # subtracted, regular part on the window piece
-            res = integrate_adaptive(
-                lambda x: (phi(x) - phi_lam) / (x - lam),
-                wlo,
-                whi,
-                abs_tol=abs_tol / 4,
-                breakpoints=[p for p in inner_breaks if wlo < p < whi] + [lam],
-            )
-            total += res.value.real
-            err += res.error
-            # p.v. of the constant phi(lam)/(x - lam) over the window piece;
-            # zero when the piece is symmetric about lam
-            if phi_lam != 0.0:
-                if lam == wlo or lam == whi:
-                    # half-sided log singularity with nonzero density: the
-                    # principal value does not exist at a support edge
-                    raise NotHolder(
-                        f"nonzero density at support edge lam={lam}: p.v. diverges"
-                    )
-                if wlo < lam < whi:
-                    total += phi_lam * math.log((whi - lam) / (lam - wlo))
-                else:
-                    total += phi_lam * math.log(abs((whi - lam) / (wlo - lam)))
-        for olo, ohi in ((lo, min(hi, win_lo_full)), (max(lo, win_hi_full), hi)):
-            if olo < ohi:
-                res = integrate_adaptive(
-                    lambda x: phi(x) / (x - lam),
-                    olo,
-                    ohi,
-                    abs_tol=abs_tol / 4,
-                    breakpoints=[p for p in inner_breaks if olo < p < ohi],
-                )
-                total += res.value.real
-                err += res.error
-
-    for atom in measure.atoms:
-        total += atom.mass * weight(atom.location) ** 2 / (atom.location - lam)
-
-    return float(total)
-
-
 def plemelj_boundary(
     measure: SpectralMeasure,
     weight: WeightFunction,
     lam: float,
     certificate: HolderEstimate | None = None,
-    delta: float | None = None,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> complex:
-    """Boundary value of C(lam + i0): principal value plus the jump term."""
-    pv = principal_value(measure, weight, lam, certificate=certificate, delta=delta, abs_tol=abs_tol)
-    jump = math.pi * weight(lam) ** 2 * measure.density_at(lam)
-    return complex(pv, jump)
+    """Boundary value C(lam + i0): principal value plus the jump term
+    ``i pi w(lam)^2 rho(lam)``, from the kernel of ``evaluate_offaxis`` at y = 0+.
+
+    ``certificate`` carries a fitted Holder exponent when the catalog cannot
+    vouch for the data; nonpositive exponents are rejected.  An atom at
+    ``lam`` raises AtomAtProbe.
+    """
+    lam = float(lam)
+    for atom in measure.atoms:
+        if atom.location == lam:
+            raise AtomAtProbe(f"atom at {atom.location} coincides with probe point")
+    _certify_holder(measure, weight, lam, certificate)
+    return complex(_transform(measure, weight, complex(lam, 0.0), abs_tol).value)
+
+
+def principal_value(
+    measure: SpectralMeasure,
+    weight: WeightFunction,
+    lam: float,
+    certificate: HolderEstimate | None = None,
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> float:
+    """Principal value at ``lam``: the real part of ``plemelj_boundary``,
+    under the same AtomAtProbe and NotHolder guards."""
+    return plemelj_boundary(measure, weight, lam, certificate=certificate, abs_tol=abs_tol).real
 
 
 def near_far_split(measure: SpectralMeasure, lam: float, eps: float) -> SplitMeasure:
@@ -300,19 +246,14 @@ def weighted_mass(
 
     Returns (value, error_estimate).
     """
-    structure = _structure_points(measure, weight)
     total = 0.0
     err = 0.0
-    for lo, hi in _ac_segments(measure, weight):
+    edges = _piece_edges(measure, weight)
+    if edges:
         res = integrate_adaptive(
-            lambda x: weight.values(x) ** 2 * measure.density_values(x),
-            lo,
-            hi,
-            abs_tol=abs_tol,
-            breakpoints=[p for p in structure if lo < p < hi],
+            _phi_factory(measure, weight), edges[0], edges[-1], abs_tol=abs_tol, breakpoints=edges[1:-1]
         )
-        total += res.value.real
-        err += res.error
+        total, err = res.value.real, res.error
     for atom in measure.atoms:
         total += atom.mass * weight(atom.location) ** 2
     return float(total), float(err)

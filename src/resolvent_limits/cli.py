@@ -56,6 +56,7 @@ from .matrix_oracle import (
     resolution_floor,
     sandwiched_resolvent,
 )
+from .quadrature import DEFAULT_ABS_TOL
 from .spectral_model import (
     SpectralMeasure,
     WeightFunction,
@@ -74,7 +75,7 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class Tolerances:
-    quadrature_abs: float = 1e-10
+    quadrature_abs: float = DEFAULT_ABS_TOL
     convergence: float = 1e-6
     oracle_rel_gap: float = 1e-3
 
@@ -200,7 +201,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             embedding_dim=embedding_dim,
             seed=int(raw.get("seed", 0)),
             tolerances=Tolerances(
-                quadrature_abs=float(tol.get("quadrature_abs", 1e-10)),
+                quadrature_abs=float(tol.get("quadrature_abs", DEFAULT_ABS_TOL)),
                 convergence=float(tol.get("convergence", 1e-6)),
                 oracle_rel_gap=float(tol.get("oracle_rel_gap", 1e-3)),
             ),

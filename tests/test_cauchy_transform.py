@@ -27,6 +27,25 @@ from conftest import spectral_measures, weight_functions
 
 PLATEAU = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
 FLAT = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 1.0}, (-1.0, 1.0)),))
+EPS = np.finfo(float).eps
+
+
+def plateau_closed_form(level, slope, a, b, atoms, z):
+    """C(z) for level + slope*x on [a, b] under a plateau weight covering [a, b]
+    and the atoms, and the sum of the magnitudes of its terms.
+
+    slope (b - a) + (level + slope z) [log(b - z) - log(a - z)] + sum m/(loc - z);
+    for real z the logs take the y -> 0+ branch, giving p.v. + i pi rho(lam).
+    """
+    z = complex(z)
+    lb, la = (cmath.log(complex(p - z.real, -z.imag)) for p in (b, a))
+    lead = level + slope * z
+    value = slope * (b - a) + lead * (lb - la)
+    scale = abs(slope * (b - a)) + abs(lead) * (abs(lb) + abs(la))
+    for loc, mass in atoms:
+        value += mass / (loc - z)
+        scale += abs(mass / (loc - z))
+    return value, scale
 
 
 def test_single_atom_transform_is_exact():
@@ -67,13 +86,58 @@ def test_herglotz_sign(measure, weight, x0, y):
     assert tv.value.imag >= -1e-9
 
 
-@given(spectral_measures(), weight_functions(), st.floats(-2.0, 2.0), st.floats(1e-3, 1.0))
+@given(spectral_measures(), weight_functions(), st.floats(-2.0, 2.0), st.floats(-12.0, 0.0))
 @settings(max_examples=25)
-def test_conjugate_symmetry(measure, weight, x0, y):
-    z = complex(x0, y)
+def test_conjugate_symmetry(measure, weight, x0, log_y):
+    z = complex(x0, 10.0 ** log_y)
     up = evaluate_offaxis(measure, weight, z, abs_tol=1e-9).value
     down = evaluate_offaxis(measure, weight, z.conjugate(), abs_tol=1e-9).value
     assert abs(down - up.conjugate()) <= 1e-12 * max(1.0, abs(up))
+
+
+@given(
+    st.floats(-2.0, 0.0),
+    st.floats(0.25, 2.0),
+    st.floats(0.1, 2.0),
+    st.sampled_from([0.0, -0.75, 0.4]) | st.floats(-1.0, 1.0),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-14.0, 0.0),
+    st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 2.0)), max_size=2),
+)
+@settings(max_examples=40)
+def test_closed_form_down_to_tiny_y(a, width, level, slope, t, log_y, atom_draws):
+    b = a + width
+    lam = a + t * width
+    if not a < lam < b:
+        lam = 0.5 * (a + b)
+    # atoms at lam - d (first) and lam + d (second), inside the plateau
+    atoms = [(lam - d if k == 0 else lam + d, m) for k, (d, m) in enumerate(atom_draws)]
+    if slope == 0.0:
+        part = DensityFamily("constant", {"level": level}, (a, b))
+    else:
+        part = DensityFamily("affine", {"level": level, "slope": slope, "center": 0.0}, (a, b))
+    measure = SpectralMeasure((part,), tuple(Atom(loc, m) for loc, m in atoms))
+    weight = WeightFunction("plateau", {"center": 0.5 * (a + b), "half_width": 0.5 * width + 1.0})
+    abs_tol = 1e-10
+    for z in (complex(lam, 10.0 ** log_y), complex(lam, 0.0)):
+        ref, scale = plateau_closed_form(level, slope, a, b, atoms, z)
+        if z.imag > 0.0:
+            tv = evaluate_offaxis(measure, weight, z, abs_tol=abs_tol)
+            assert tv.tolerance_met
+            value = tv.value
+        else:
+            value = plemelj_boundary(measure, weight, lam, abs_tol=abs_tol)
+        assert abs(value - ref) <= abs_tol + 64 * EPS * scale, z
+
+
+def test_offaxis_reports_missed_target():
+    m = SpectralMeasure(
+        ac_parts=(DensityFamily("affine", {"level": 1.0, "slope": 0.5, "center": 0.0}, (-1.0, 1.0)),)
+    )
+    assert evaluate_offaxis(m, PLATEAU, complex(0.3, 1e-3)).tolerance_met
+    tv = evaluate_offaxis(m, PLATEAU, complex(0.3, 1e-3), abs_tol=1e-30)
+    assert tv.abs_error_estimate > 1e-30
+    assert tv.tolerance_met is False
 
 
 def test_principal_value_odd_symmetry():
@@ -100,10 +164,11 @@ def test_principal_value_log_oracle_off_center():
     assert principal_value(FLAT, PLATEAU, 0.5) == pytest.approx(truth, abs=1e-10)
 
 
-def test_principal_value_window_independence():
-    a = principal_value(FLAT, PLATEAU, 0.3, delta=0.1)
-    b = principal_value(FLAT, PLATEAU, 0.3, delta=0.25)
-    assert a == pytest.approx(b, abs=1e-9)
+@pytest.mark.parametrize("lam", [-1.0 + 1e-9, -0.7, 0.0, 0.3, 0.999, 1.0 - 1e-9])
+def test_principal_value_log_oracle_near_support_edges(lam):
+    # p.v. over [-1, 1] of 1/(x - lam) = ln((1 - lam)/(1 + lam))
+    truth = math.log((1.0 - lam) / (1.0 + lam))
+    assert principal_value(FLAT, PLATEAU, lam) == pytest.approx(truth, abs=1e-10 + 64 * EPS * abs(truth))
 
 
 def test_principal_value_guards():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import resolvent_limits
 from resolvent_limits.cli import load_config, main
 from resolvent_limits.errors import ConfigError
 
@@ -203,6 +206,9 @@ def test_byte_identical_reruns(tmp_path):
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
+    # the child imports the same checkout as this process
+    src = str(Path(resolvent_limits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [
             sys.executable,
@@ -218,6 +224,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "verdict=CONVERGES" in proc.stdout
