@@ -26,8 +26,6 @@ from .spectral_model import (
     SpectralMeasure,
     WeightFunction,
     estimate_holder,
-    evaluate_density,
-    evaluate_weight,
     geometric_radii,
     measure_from_text,
     measure_to_text,

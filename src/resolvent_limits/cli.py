@@ -12,9 +12,10 @@ compactness     singular values of the damped rigging model plus tail sups
 stone-density   spectral density from (1/pi) Im C(lam + iy) with y -> 0 fit
 holder-fit      local Holder exponent fit of the configured density or weight
 
-Common flags: --config PATH (required), --out DIR, --seed INT,
---tolerance FLOAT.  Flag values override the corresponding config fields
-(--tolerance maps to the command's decision tolerance).
+Common flags: --config PATH (required), --out DIR, --seed INT.
+probe-limit, compare-oracle and stone-density also take --tolerance FLOAT.
+Flag values override the corresponding config fields (--tolerance maps to
+the command's decision tolerance).
 
 The config file is JSON; the full schema with defaults is documented in the
 repository README.  Runs are deterministic: a fixed config produces
@@ -85,7 +86,6 @@ class ExperimentConfig:
     measure: SpectralMeasure
     weight: WeightFunction
     lam: float = 0.0
-    epsilon: float = 0.25
     schedule: YSchedule = field(default_factory=YSchedule)
     evaluator: str = "transform"  # "transform" | "matrix"
     regularize: bool = False
@@ -108,7 +108,6 @@ class ExperimentConfig:
             "measure": self.measure.to_dict(),
             "weight": self.weight.to_dict(),
             "lambda": self.lam,
-            "epsilon": self.epsilon,
             "schedule": {
                 "y_max": self.schedule.y_max,
                 "y_min": self.schedule.y_min,
@@ -130,7 +129,6 @@ _TOP_KEYS = {
     "measure",
     "weight",
     "lambda",
-    "epsilon",
     "schedule",
     "evaluator",
     "regularize",
@@ -193,7 +191,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
             measure=measure,
             weight=weight,
             lam=float(raw.get("lambda", 0.0)),
-            epsilon=float(raw.get("epsilon", 0.25)),
             schedule=schedule,
             evaluator=evaluator,
             regularize=bool(raw.get("regularize", False)),
@@ -456,13 +453,11 @@ _COMMANDS = {
     "holder-fit": cmd_holder_fit,
 }
 
-# which decision tolerance --tolerance overrides, per command
+# which decision tolerance --tolerance overrides; other commands have none
 _TOL_TARGET = {
     "probe-limit": "convergence",
     "compare-oracle": "oracle_rel_gap",
-    "compactness": "quadrature_abs",
     "stone-density": "quadrature_abs",
-    "holder-fit": "quadrature_abs",
 }
 
 
@@ -477,9 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--tolerance", type=float, default=None, help="override the decision tolerance"
-        )
+        if name in _TOL_TARGET:
+            p.add_argument(
+                "--tolerance", type=float, default=None, help="override the decision tolerance"
+            )
     return parser
 
 
@@ -489,7 +485,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.tolerance is not None:
+        if getattr(args, "tolerance", None) is not None:
             setattr(cfg.tolerances, _TOL_TARGET[args.command], args.tolerance)
         return _COMMANDS[args.command](cfg, Path(args.out))
     except (ResolventLimitsError, ValueError, OSError) as exc:

@@ -12,11 +12,12 @@ geometric schedule and classifies the outcome:
   is trustworthy (residual < 0.05);
 * INCONCLUSIVE otherwise.
 
-Matrix-valued samples are compared in operator norm; their scalar shadow in
-reports is the trace, which for the identity embedding equals the discrete
-transform value.  The verdict order (divergence test first, tolerance-gated
-convergence second) guarantees that shrinking the tolerance can only demote
-CONVERGES to INCONCLUSIVE, never flip it to DIVERGES.
+Matrix-valued samples are compared in operator norm, computed from their
+factored form; their scalar shadow in reports is the trace, which for the
+identity embedding equals the discrete transform value.  The verdict order
+(divergence test first, tolerance-gated convergence second) guarantees that
+shrinking the tolerance can only demote CONVERGES to INCONCLUSIVE, never flip
+it to DIVERGES.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateFit, EvaluatorFailure, InvalidExponent
-from .matrix_oracle import MatrixModel, OperatorSample, operator_norm
+# operator_norm is not called here: samples compute their own norms.  The name
+# stays because the benchmark's traced run (bench/tracing.py) wraps it.
+from .matrix_oracle import MatrixModel, OperatorSample, operator_norm  # noqa: F401
 from .cauchy_transform import TransformValue
 
 __all__ = [
@@ -135,17 +138,15 @@ def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple:
     return float(slope), rms
 
 
-def _unpack(sample, tag_hint: str) -> tuple:
-    """Normalize an evaluator result to (payload, shadow, norm, tag)."""
+def _unpack(sample) -> tuple:
+    """Normalize an evaluator result to (shadow, norm, tag)."""
     if isinstance(sample, OperatorSample):
-        return sample.T, complex(np.trace(sample.T)), float(sample.norm), "matrix"
+        return sample.trace, float(sample.norm), "matrix"
     if isinstance(sample, TransformValue):
         v = complex(sample.value)
-        return v, v, abs(v), "transform"
-    if isinstance(sample, np.ndarray):
-        return sample, complex(np.trace(np.atleast_2d(sample))), operator_norm(sample), "matrix"
+        return v, abs(v), "transform"
     v = complex(sample)
-    return v, v, abs(v), tag_hint
+    return v, abs(v), "scalar"
 
 
 def limit_probe(
@@ -156,27 +157,27 @@ def limit_probe(
 ) -> LimitReport:
     """Probe lim of evaluator(lam + iy) as y runs down the schedule.
 
-    The evaluator may return a complex number, a TransformValue, an
-    OperatorSample, or a raw matrix.  Evaluator exceptions are re-raised as
-    EvaluatorFailure carrying the offending y.
+    The evaluator may return a complex number, a TransformValue or an
+    OperatorSample.  Evaluator exceptions are re-raised as EvaluatorFailure
+    carrying the offending y.
     """
     samples = []
-    prev_payload = None
+    prev = None
     for y in schedule.values:
         z = complex(lam, y)
         try:
             raw = evaluator(z)
         except Exception as exc:  # propagate with the offending y
             raise EvaluatorFailure(y, exc) from exc
-        payload, shadow, norm, tag = _unpack(raw, "scalar")
-        if prev_payload is None:
+        shadow, norm, tag = _unpack(raw)
+        if prev is None:
             diff = float("nan")
-        elif isinstance(payload, np.ndarray):
-            diff = operator_norm(payload - prev_payload)
+        elif isinstance(raw, OperatorSample):
+            diff = raw.distance(prev)
         else:
-            diff = abs(payload - prev_payload)
+            diff = abs(shadow - samples[-1].shadow)
         samples.append(ProbeSample(y=y, shadow=shadow, norm=norm, diff=diff, tag=tag))
-        prev_payload = payload
+        prev = raw
 
     ys = np.array([s.y for s in samples])
     norms = np.array([s.norm for s in samples])
@@ -266,7 +267,7 @@ def compactness_probe(
 
     damp = (1.0 + np.abs(model.nodes)) ** (-s)
     diag = model.rigging_diagonal() * damp
-    if model.embedding_kind == "identity":
+    if model.embedding is None:
         sigma = np.sort(np.abs(diag))[::-1]
     else:
         sigma = np.linalg.svd(model.embedding * diag, compute_uv=False)
@@ -297,10 +298,11 @@ def stone_density(
 ) -> StoneDensityResult:
     """Spectral density from the transform: (1/pi) Im C(lam + iy), y down.
 
-    The y -> 0 value is the intercept of a linear fit of the estimates
-    against y over the tail half of the schedule (smallest y), where the
-    Holder error term is negligible.  For catalog data this recovers
-    w(lam)^2 rho(lam).
+    The evaluator may return anything ``limit_probe`` accepts; a matrix
+    sample contributes its trace.  The y -> 0 value is the intercept of a
+    linear fit of the estimates against y over the tail half of the schedule
+    (smallest y), where the Holder error term is negligible.  For catalog
+    data this recovers w(lam)^2 rho(lam).
     """
     estimates = []
     for y in schedule.values:
@@ -308,7 +310,7 @@ def stone_density(
             raw = evaluator(complex(lam, y))
         except Exception as exc:
             raise EvaluatorFailure(y, exc) from exc
-        _, shadow, _, _ = _unpack(raw, "scalar")
+        shadow, _, _ = _unpack(raw)
         estimates.append(shadow.imag / math.pi)
     ys = np.array(schedule.values)
     vals = np.array(estimates)

@@ -2,10 +2,14 @@
 
 A model keeps the operator in its spectral representation: ``H`` is diagonal
 on real nodes, the rigging factor is ``F = J diag(w_i sqrt(mu_i))`` with ``J``
-an isometric-row embedding (identity, a seeded orthonormal matrix, or a user
-supplied one), so ``T_z = F (H - z)^{-1} F*`` is assembled entrywise from
-``w_i^2 mu_i / (x_i - z)``.  No linear solves: resolvent application on a
-diagonal model is exact arithmetic, which keeps rate fits clean.
+an isometric-row embedding (``None`` for the identity, a seeded orthonormal
+matrix, or a user supplied one).  A sample ``T_z = F (H - z)^{-1} F*`` is
+stored in the same factored form, ``J diag(w_i^2 mu_i / (x_i - z)) J*``: the
+diagonal and the embedding, never a dense n x n array.  Norms, differences
+and traces come from the factors (``max |d|`` and ``sum d`` for the identity,
+the m x m product otherwise); the dense matrix is built only when a caller
+reads ``T``.  No linear solves: resolvent application on a diagonal model is
+exact arithmetic, which keeps rate fits clean.
 
 Atom nodes carry the exact eigenvalue coordinate and mass and are marked by
 ``atom_flags``; matching is exact float equality, never a tolerance, because
@@ -49,16 +53,14 @@ class MatrixModel:
     masses: np.ndarray
     weights: np.ndarray
     atom_flags: np.ndarray
-    embedding: np.ndarray
-    embedding_kind: str = "identity"  # "identity" | "seeded" | "custom"
-    embedding_seed: int | None = None
+    embedding: np.ndarray | None = None  # None is the identity
+    embedding_seed: int | None = None  # set when embedding is _seeded_embedding's
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         masses = np.asarray(self.masses, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         flags = np.asarray(self.atom_flags, dtype=bool)
-        emb = np.asarray(self.embedding)
         n = nodes.size
         if not (masses.size == weights.size == flags.size == n):
             raise ValueError("nodes, masses, weights, atom_flags must share length")
@@ -74,19 +76,16 @@ class MatrixModel:
             ok = flags[first] & flags[first + 1]
             if not np.all(ok):
                 raise ValueError("equal node coordinates are allowed only for atom nodes")
-        if emb.ndim != 2 or emb.shape[1] != n:
-            raise ValueError(f"embedding must be (m, {n}), got {emb.shape}")
-        if self.embedding_kind != "identity":
+        arrays = [("nodes", nodes), ("masses", masses), ("weights", weights), ("atom_flags", flags)]
+        if self.embedding is not None:
+            emb = np.asarray(self.embedding)
+            if emb.ndim != 2 or emb.shape[1] != n:
+                raise ValueError(f"embedding must be (m, {n}), got {emb.shape}")
             gram = emb @ emb.conj().T
             if not np.allclose(gram, np.eye(emb.shape[0]), atol=1e-10):
                 raise ValueError("embedding rows must be orthonormal")
-        for name, arr in (
-            ("nodes", nodes),
-            ("masses", masses),
-            ("weights", weights),
-            ("atom_flags", flags),
-            ("embedding", emb),
-        ):
+            arrays.append(("embedding", emb))
+        for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -95,8 +94,15 @@ class MatrixModel:
         return int(self.nodes.size)
 
     @property
+    def embedding_kind(self) -> str:
+        """One of "identity", "seeded" or "custom", read off the embedding."""
+        if self.embedding is None:
+            return "identity"
+        return "custom" if self.embedding_seed is None else "seeded"
+
+    @property
     def target_dim(self) -> int:
-        return int(self.embedding.shape[0])
+        return self.size if self.embedding is None else int(self.embedding.shape[0])
 
     def rigging_diagonal(self) -> np.ndarray:
         """Diagonal factors w_i * sqrt(mu_i) of the rigging matrix."""
@@ -106,18 +112,52 @@ class MatrixModel:
         return self.atom_flags & (self.nodes == lam)
 
 
+def _factored(J: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    """The dense matrix J diag(v) J*; J = None is the identity."""
+    if J is None:
+        return np.diag(v)
+    return (J * v) @ J.conj().T
+
+
+def _factored_norm(J: np.ndarray | None, v: np.ndarray) -> float:
+    """Operator norm of J diag(v) J*: max |v| for the identity, else the
+    spectral norm of the m x m product."""
+    if J is None:
+        return float(np.max(np.abs(v))) if v.size else 0.0
+    return operator_norm(_factored(J, v))
+
+
 @dataclass(frozen=True)
 class OperatorSample:
     """One evaluation of the sandwiched resolvent at a complex point.
 
-    ``on_axis`` marks samples taken at real z strictly between nodes, which
-    is permitted but outside the Im z != 0 contract.
+    The sample is ``J diag(diag) J*`` with ``diag_i = w_i^2 mu_i / (x_i - z)``
+    (zero at excluded nodes) and ``J`` the model's embedding (``None`` for the
+    identity).  ``T`` builds the dense matrix on each read; ``norm``,
+    ``distance`` and ``trace`` never do for the identity.  ``on_axis`` marks
+    samples taken at real z strictly between nodes, which is permitted but
+    outside the Im z != 0 contract.
     """
 
     z: complex
-    T: np.ndarray
+    diag: np.ndarray
+    embedding: np.ndarray | None
     norm: float
     on_axis: bool = False
+
+    @property
+    def T(self) -> np.ndarray:
+        return _factored(self.embedding, self.diag)
+
+    @property
+    def trace(self) -> complex:
+        if self.embedding is None:
+            return complex(np.sum(self.diag))
+        return complex(np.trace(self.T))
+
+    def distance(self, other: OperatorSample) -> float:
+        """Operator norm of ``self.T - other.T`` for samples of one model."""
+        return _factored_norm(self.embedding, self.diag - other.diag)
 
 
 def _seeded_embedding(m: int, n: int, seed: int) -> np.ndarray:
@@ -202,34 +242,15 @@ def discretize(
     if m > nodes.size:
         raise ValueError(f"embedding_dim {m} exceeds node count {nodes.size}")
     if embedding_dim == SAME:
-        emb = np.eye(nodes.size)
-        kind = "identity"
-    else:
-        emb = _seeded_embedding(m, nodes.size, seed)
-        kind = "seeded"
+        return MatrixModel(nodes=nodes, masses=mus, weights=ws, atom_flags=flags)
     return MatrixModel(
         nodes=nodes,
         masses=mus,
         weights=ws,
         atom_flags=flags,
-        embedding=emb,
-        embedding_kind=kind,
-        embedding_seed=None if kind == "identity" else seed,
+        embedding=_seeded_embedding(m, nodes.size, seed),
+        embedding_seed=seed,
     )
-
-
-def _assemble(model: MatrixModel, diag: np.ndarray) -> np.ndarray:
-    if model.embedding_kind == "identity":
-        return np.diag(diag.astype(complex))
-    J = model.embedding
-    return (J * diag) @ J.conj().T
-
-
-def _spectral_norm(T: np.ndarray) -> float:
-    T = np.atleast_2d(np.asarray(T))
-    if T.size == 0:
-        return 0.0
-    return float(np.linalg.norm(T, 2))
 
 
 def _resolvent_sample(model: MatrixModel, z: complex, exclude: np.ndarray | None) -> OperatorSample:
@@ -243,12 +264,9 @@ def _resolvent_sample(model: MatrixModel, z: complex, exclude: np.ndarray | None
     diag = np.zeros(model.size, dtype=complex)
     d = model.rigging_diagonal()
     diag[keep] = d[keep] ** 2 / (model.nodes[keep] - z)
-    T = _assemble(model, diag)
-    if model.embedding_kind == "identity":
-        norm = float(np.max(np.abs(diag))) if diag.size else 0.0
-    else:
-        norm = _spectral_norm(T)
-    return OperatorSample(z=z, T=T, norm=norm, on_axis=on_axis)
+    J = model.embedding
+    norm = _factored_norm(J, diag)
+    return OperatorSample(z=z, diag=diag, embedding=J, norm=norm, on_axis=on_axis)
 
 
 def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
@@ -261,11 +279,13 @@ def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
 
 
 def operator_norm(T: np.ndarray) -> float:
-    """Largest singular value."""
-    T = np.asarray(T)
+    """Largest singular value (0 for an empty matrix)."""
+    T = np.atleast_2d(np.asarray(T))
     if not np.all(np.isfinite(np.abs(T))):
         raise ValueError("operator_norm requires finite entries")
-    return _spectral_norm(T)
+    if T.size == 0:
+        return 0.0
+    return float(np.linalg.norm(T, 2))
 
 
 def eigen_contribution(model: MatrixModel, lam: float) -> tuple:
@@ -277,11 +297,8 @@ def eigen_contribution(model: MatrixModel, lam: float) -> tuple:
     mask = model.atom_mask(lam)
     if not np.any(mask):
         raise NoAtomAtLambda(f"no flagged atom node at lam={lam!r}")
-    d = model.rigging_diagonal()
-    B = model.embedding[:, mask] * d[mask]
-    E = B @ B.conj().T
-    norm = _spectral_norm(B) ** 2
-    return E, float(norm)
+    v = np.where(mask, model.rigging_diagonal() ** 2, 0.0)
+    return _factored(model.embedding, v), _factored_norm(model.embedding, v)
 
 
 def regularized_resolvent(model: MatrixModel, z: complex, lam: float) -> OperatorSample:
@@ -306,11 +323,11 @@ def quadratic_form(model: MatrixModel, z: complex, u: np.ndarray | None = None) 
     z = complex(z)
     d2 = model.rigging_diagonal() ** 2
     if u is None:
-        if model.embedding_kind != "identity":
+        if model.embedding is not None:
             raise ValueError("default test vector requires the identity embedding")
         u = (model.weights > 0).astype(float)
     u = np.asarray(u)
-    if model.embedding_kind == "identity":
+    if model.embedding is None:
         coeff = np.abs(u) ** 2
     else:
         v = model.embedding.conj().T @ u
@@ -363,13 +380,13 @@ def model_from_text(text: str) -> MatrixModel:
     emb = d["embedding"]
     n = len(d["nodes"])
     kind = emb["kind"]
-    if kind == "identity":
-        J = np.eye(n)
-    elif kind == "seeded":
-        J = _seeded_embedding(int(emb["dim"]), n, int(emb["seed"]))
+    J, seed = None, None
+    if kind == "seeded":
+        seed = int(emb["seed"])
+        J = _seeded_embedding(int(emb["dim"]), n, seed)
     elif kind == "custom":
         J = np.asarray(emb["matrix_real"]) + 1j * np.asarray(emb["matrix_imag"])
-    else:
+    elif kind != "identity":
         raise ValueError(f"unknown embedding kind {kind!r}")
     return MatrixModel(
         nodes=np.asarray(d["nodes"], dtype=float),
@@ -377,6 +394,5 @@ def model_from_text(text: str) -> MatrixModel:
         weights=np.asarray(d["weights"], dtype=float),
         atom_flags=np.asarray(d["atom_flags"], dtype=bool),
         embedding=J,
-        embedding_kind=kind,
-        embedding_seed=emb["seed"],
+        embedding_seed=seed,
     )

@@ -45,8 +45,6 @@ __all__ = [
     "Atom",
     "HolderEstimate",
     "estimate_holder",
-    "evaluate_density",
-    "evaluate_weight",
     "geometric_radii",
     "measure_from_text",
     "measure_to_text",
@@ -223,14 +221,6 @@ class SpectralMeasure:
             pts.update(part.breakpoints())
         return tuple(sorted(pts))
 
-    def support_hull(self) -> tuple:
-        """Smallest closed interval containing all densities and atoms."""
-        los = [p.support[0] for p in self.ac_parts] + [a.location for a in self.atoms]
-        his = [p.support[1] for p in self.ac_parts] + [a.location for a in self.atoms]
-        if not los:
-            return (0.0, 0.0)
-        return (min(los), max(his))
-
     def holder_exponent_at(self, lam: float) -> float | None:
         """Catalog Holder exponent of the total density at ``lam``.
 
@@ -373,15 +363,6 @@ class HolderEstimate:
     constant_hat: float
     fit_window: tuple
     residual: float
-
-
-def evaluate_density(measure: SpectralMeasure, x: float) -> float:
-    """Total a.c. density at ``x``; atoms do not contribute (not a density)."""
-    return measure.density_at(x)
-
-
-def evaluate_weight(weight: WeightFunction, x: float) -> float:
-    return weight(x)
 
 
 def geometric_radii(r_max: float = 0.125, ratio: float = 0.5, count: int = 10) -> tuple:

@@ -105,6 +105,23 @@ def test_unknown_key_rejected(tmp_path):
         load_config(cfg)
 
 
+def test_epsilon_key_is_gone(tmp_path):
+    cfg = write_config(tmp_path / "c.json", epsilon=0.25)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("command", ["compactness", "holder-fit"])
+def test_tolerance_is_a_usage_error_where_it_sets_nothing(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg), "--out", str(out), "--tolerance", "1e-3"])
+    assert info.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_oracle_runs_and_skips(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",

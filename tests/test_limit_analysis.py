@@ -67,7 +67,6 @@ def test_limit_probe_atom_divergence():
         masses=np.array([1.0]),
         weights=np.array([1.0]),
         atom_flags=np.array([True]),
-        embedding=np.eye(1),
     )
     report = limit_probe(lambda z: sandwiched_resolvent(model, z), 0.0, SCHED)
     assert report.verdict == DIVERGES
@@ -140,7 +139,6 @@ def test_compactness_probe_example():
         masses=np.ones(3),
         weights=np.ones(3),
         atom_flags=np.zeros(3, bool),
-        embedding=np.eye(3),
     )
     rep = compactness_probe(model, 1.0, [0.5, 2.0])
     assert rep.singular_values == (1.0, 0.5, 0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,11 @@ from resolvent_limits import (
     SpectralMeasure,
     TooFewNodes,
     WeightFunction,
+    YSchedule,
     discretize,
     eigen_contribution,
     evaluate_offaxis,
+    limit_probe,
     model_from_text,
     model_to_text,
     operator_norm,
@@ -28,7 +32,7 @@ PLATEAU = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
 FLAT = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 1.0}, (-1.0, 1.0)),))
 
 
-def _model(nodes, masses=None, weights=None, flags=None, embedding=None, **kw):
+def _model(nodes, masses=None, weights=None, flags=None, **kw):
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
     return MatrixModel(
@@ -36,7 +40,6 @@ def _model(nodes, masses=None, weights=None, flags=None, embedding=None, **kw):
         masses=np.ones(n) if masses is None else np.asarray(masses, float),
         weights=np.ones(n) if weights is None else np.asarray(weights, float),
         atom_flags=np.zeros(n, bool) if flags is None else np.asarray(flags, bool),
-        embedding=np.eye(n) if embedding is None else embedding,
         **kw,
     )
 
@@ -228,7 +231,7 @@ def test_far_zone_norm_bound():
     # all nodes at distance >= eps from lam
     lam, eps = 0.0, 0.5
     model = _model([-2.0, -1.0, 0.6, 1.5], masses=[0.5, 1.0, 0.7, 0.3])
-    ff = operator_norm(model.embedding @ np.diag(model.rigging_diagonal() ** 2) @ model.embedding.T)
+    ff = operator_norm(np.diag(model.rigging_diagonal() ** 2))  # ||F F*||, identity embedding
     for y in (1e-1, 1e-3, 1e-5):
         s = sandwiched_resolvent(model, complex(lam, y))
         assert s.norm <= ff / eps + 1e-12
@@ -279,3 +282,73 @@ def test_model_text_round_trip(embedding_dim):
     assert np.array_equal(again.atom_flags, model.atom_flags)
     assert np.array_equal(again.embedding, model.embedding)
     assert again.embedding_kind == model.embedding_kind
+
+
+def test_passed_embedding_is_used_and_checked():
+    # a 1 x 2 row embedding: samples are 1 x 1, not the n x n identity ones
+    J = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
+    model = _model([0.0, 0.5], weights=[0.8, 1.0], flags=[True, False], embedding=J)
+    assert model.embedding_kind == "custom"
+    assert model.target_dim == 1
+    z = complex(0.0, 1e-3)
+    T = sandwiched_resolvent(model, z).T
+    Tr = regularized_resolvent(model, z, 0.0).T
+    E, _ = eigen_contribution(model, 0.0)
+    assert T.shape == Tr.shape == E.shape == (1, 1)
+    assert np.max(np.abs(T - (Tr + E / (0.0 - z)))) <= 1e-12 * operator_norm(T)
+    with pytest.raises(ValueError):
+        _model([0.0, 0.5], embedding=np.diag([1.0, 2.0]))
+
+
+@given(
+    st.integers(3, 40),
+    st.data(),
+    st.integers(0, 2**31 - 1),
+    st.floats(-0.9, 0.9),
+    st.floats(-8.0, 0.0),
+)
+@settings(max_examples=30)
+def test_seeded_samples_match_dense_references(n, data, seed, lam, log_y):
+    m = data.draw(st.integers(1, n - 1))
+    measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(lam, 0.7),))
+    model = discretize(measure, PLATEAU, n, m, seed=seed)
+    assert model.embedding_kind == "seeded"
+    y = 10.0**log_y
+    sched = YSchedule(y_max=y, y_min=y * 0.5**7, ratio=0.5)
+    samples = []
+
+    def evaluator(z):
+        samples.append(sandwiched_resolvent(model, z))
+        return samples[-1]
+
+    report = limit_probe(evaluator, lam, sched)
+    rel = lambda a, b: abs(a - b) <= 1e-12 * abs(b)
+    for k, (s, row) in enumerate(zip(samples, report.samples)):
+        T = s.T
+        assert T.shape == (m, m)
+        assert rel(s.norm, operator_norm(T))
+        assert rel(row.shadow, np.trace(T))
+        if k:
+            assert rel(row.diff, operator_norm(T - samples[k - 1].T))
+    z = complex(lam, y)
+    T = samples[0].T
+    Tr = regularized_resolvent(model, z, lam).T
+    E, _ = eigen_contribution(model, lam)
+    scale = operator_norm(T) + operator_norm(Tr)
+    assert np.max(np.abs(T - (Tr + E / (lam - z)))) <= 1e-12 * scale
+
+
+def test_identity_samples_allocate_no_dense_matrix():
+    n = 4000  # one dense complex n x n sample would take 256 MB
+    tracemalloc.start()
+    try:
+        model = discretize(FLAT, PLATEAU, n)
+        a = sandwiched_resolvent(model, 0.1 + 1e-3j)
+        b = sandwiched_resolvent(model, 0.1 + 5e-4j)
+        dist, shadow = a.distance(b), a.trace
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.embedding is None and a.diag.shape == (n,)
+    assert dist > 0 and shadow.imag > 0
+    assert peak < 16 * 2**20

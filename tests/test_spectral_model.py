@@ -12,8 +12,6 @@ from resolvent_limits import (
     SpectralMeasure,
     WeightFunction,
     estimate_holder,
-    evaluate_density,
-    evaluate_weight,
     geometric_radii,
     measure_from_text,
     measure_to_text,
@@ -28,8 +26,8 @@ RADII = geometric_radii(2.0 ** -3, 0.5, 10)  # 2^-3 .. 2^-12
 
 def test_constant_density_inside_and_outside():
     m = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 0.5}, (-1.0, 1.0)),))
-    assert evaluate_density(m, 0.0) == 0.5
-    assert evaluate_density(m, 2.0) == 0.0
+    assert m.density_at(0.0) == 0.5
+    assert m.density_at(2.0) == 0.0
 
 
 def test_power_bump_value_matches_direct_arithmetic():
@@ -39,22 +37,22 @@ def test_power_bump_value_matches_direct_arithmetic():
         )
     )
     # independent check: plain scalar arithmetic
-    assert evaluate_density(m, 0.25) == pytest.approx(abs(0.25) ** 0.5, abs=1e-15)
-    assert evaluate_density(m, 0.25) == pytest.approx(0.5, abs=1e-15)
+    assert m.density_at(0.25) == pytest.approx(abs(0.25) ** 0.5, abs=1e-15)
+    assert m.density_at(0.25) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_hat_weight_peak_and_endpoint():
     w = WeightFunction("hat", {"center": 0.0, "half_width": 1.0})
-    assert evaluate_weight(w, 0.0) == 1.0
-    assert evaluate_weight(w, 1.0) == 0.0
-    assert evaluate_weight(w, -1.0) == 0.0
-    assert evaluate_weight(w, 1.5) == 0.0
+    assert w(0.0) == 1.0
+    assert w(1.0) == 0.0
+    assert w(-1.0) == 0.0
+    assert w(1.5) == 0.0
 
 
 def test_cosine_bump_closed_form_point():
     w = WeightFunction("cosine_bump", {"center": 0.0, "half_width": 1.0})
-    assert evaluate_weight(w, 0.5) == pytest.approx(math.cos(math.pi / 4) ** 2, abs=1e-15)
-    assert evaluate_weight(w, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert w(0.5) == pytest.approx(math.cos(math.pi / 4) ** 2, abs=1e-15)
+    assert w(0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_estimate_holder_sqrt_cusp():
@@ -118,7 +116,7 @@ def test_density_nonnegative_and_supported(family, x):
 
 @given(weight_functions(), st.floats(-4.0, 4.0))
 def test_weight_nonnegative_zero_outside(weight, x):
-    v = evaluate_weight(weight, x)
+    v = weight(x)
     assert v >= 0.0
     lo, hi = weight.support
     if x < lo or x > hi:
@@ -132,8 +130,8 @@ def test_continuous_weights_vanish_at_endpoints(kind):
         params["exponent"] = 0.6
     w = WeightFunction(kind, params)
     lo, hi = w.support
-    assert evaluate_weight(w, lo) == 0.0
-    assert evaluate_weight(w, hi) == 0.0
+    assert w(lo) == 0.0
+    assert w(hi) == 0.0
 
 
 @given(weight_functions(), st.data())
@@ -142,7 +140,7 @@ def test_weight_holder_pair_bound(weight, data):
     x = data.draw(st.floats(lo, hi))
     x2 = data.draw(st.floats(lo, hi))
     c, alpha = weight.holder_data()
-    assert abs(evaluate_weight(weight, x) - evaluate_weight(weight, x2)) <= (
+    assert abs(weight(x) - weight(x2)) <= (
         c * abs(x - x2) ** alpha + 1e-12
     )
 
