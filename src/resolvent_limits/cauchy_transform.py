@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import AtomAtProbe, NonrealRequired, NotHolder
 from .quadrature import DEFAULT_ABS_TOL, integrate_adaptive
-from .spectral_model import HolderEstimate, SpectralMeasure, WeightFunction
+from .spectral_model import SpectralMeasure, WeightFunction
 
 __all__ = [
     "TransformValue",
@@ -160,41 +160,24 @@ def evaluate_offaxis(
     return _transform(measure, weight, z, abs_tol)
 
 
-def _certify_holder(
-    measure: SpectralMeasure,
-    weight: WeightFunction,
-    lam: float,
-    certificate: HolderEstimate | None,
-) -> None:
-    if certificate is not None:
-        if certificate.alpha_hat <= 0.0:
-            raise NotHolder(f"certificate alpha_hat={certificate.alpha_hat} is not positive")
-        return
-    rho_alpha = measure.holder_exponent_at(lam)
-    w_alpha = weight.holder_exponent_at(lam)
-    if rho_alpha is None or w_alpha is None:
-        raise NotHolder(f"catalog reports non-Holder data at lam={lam}")
-
-
 def plemelj_boundary(
     measure: SpectralMeasure,
     weight: WeightFunction,
     lam: float,
-    certificate: HolderEstimate | None = None,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> complex:
     """Boundary value C(lam + i0): principal value plus the jump term
     ``i pi w(lam)^2 rho(lam)``, from the kernel of ``evaluate_offaxis`` at y = 0+.
 
-    ``certificate`` carries a fitted Holder exponent when the catalog cannot
-    vouch for the data; nonpositive exponents are rejected.  An atom at
-    ``lam`` raises AtomAtProbe.
+    An atom at ``lam`` raises AtomAtProbe; data the catalog does not certify
+    Holder at ``lam`` raises NotHolder.
     """
     lam = float(lam)
     for atom in measure.atoms:
         if atom.location == lam:
             raise AtomAtProbe(f"atom at {atom.location} coincides with probe point")
-    _certify_holder(measure, weight, lam, certificate)
+    if measure.holder_exponent_at(lam) is None or weight.holder_exponent_at(lam) is None:
+        raise NotHolder(f"catalog reports non-Holder data at lam={lam}")
     return complex(_transform(measure, weight, complex(lam, 0.0), abs_tol).value)
 
 
@@ -202,12 +185,11 @@ def principal_value(
     measure: SpectralMeasure,
     weight: WeightFunction,
     lam: float,
-    certificate: HolderEstimate | None = None,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> float:
     """Principal value at ``lam``: the real part of ``plemelj_boundary``,
     under the same AtomAtProbe and NotHolder guards."""
-    return plemelj_boundary(measure, weight, lam, certificate=certificate, abs_tol=abs_tol).real
+    return plemelj_boundary(measure, weight, lam, abs_tol=abs_tol).real
 
 
 def near_far_split(measure: SpectralMeasure, lam: float, eps: float) -> SplitMeasure:
@@ -259,12 +241,8 @@ def weighted_mass(
     return float(total), float(err)
 
 
-def far_bound(split: SplitMeasure, weight: WeightFunction, y: float = 0.0) -> float:
-    """A priori bound (integral of w^2 d mu_far) / eps for the far transform.
-
-    Valid uniformly in y (far points satisfy |x - lam - iy| >= eps); the ``y``
-    argument is accepted for signature symmetry with the evaluators but does
-    not sharpen the bound.
-    """
+def far_bound(split: SplitMeasure, weight: WeightFunction) -> float:
+    """A priori bound (integral of w^2 d mu_far) / eps for the far transform,
+    valid uniformly in y (far points satisfy |x - lam - iy| >= eps)."""
     mass, err = weighted_mass(split.far, weight)
     return float((mass + err) / split.eps)

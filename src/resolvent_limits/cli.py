@@ -125,30 +125,59 @@ class ExperimentConfig:
         }
 
 
-_TOP_KEYS = {
-    "measure",
-    "weight",
-    "lambda",
-    "schedule",
-    "evaluator",
-    "regularize",
-    "discretization",
-    "seed",
-    "tolerances",
-    "compactness",
-    "holder",
-    "output_prefix",
+def _embedding_dim(value):
+    if value == SAME or (type(value) is int and value >= 1):
+        return value
+    raise ConfigError(f"embedding_dim must be {SAME!r} or a positive integer, got {value!r}")
+
+
+def _one_of(name: str, *allowed):
+    def parse(value):
+        if value not in allowed:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+        return value
+
+    return parse
+
+
+# Parsers of the keys each config section may set.  A parsed key becomes a
+# keyword argument of YSchedule, Tolerances or ExperimentConfig (named by the
+# section's prefix plus the key); a key the config leaves out is not passed,
+# so every default is stated once, on its dataclass.
+_TOP = {
+    "lambda": float,
+    "evaluator": _one_of("evaluator", "transform", "matrix"),
+    "regularize": bool,
+    "seed": int,
+    "output_prefix": str,
 }
+_SECTIONS = {
+    "schedule": {"y_max": float, "y_min": float, "ratio": float},
+    "discretization": {"n": int, "embedding_dim": _embedding_dim},
+    "tolerances": {"quadrature_abs": float, "convergence": float, "oracle_rel_gap": float},
+    "compactness": {"s": float, "radii": lambda radii: tuple(float(r) for r in radii)},
+    "holder": {
+        "target": _one_of("holder target", "density", "weight"),
+        "point": lambda p: None if p is None else float(p),
+        "r_max": float,
+        "ratio": float,
+        "count": int,
+    },
+}
+_PREFIX = {"compactness": "compactness_", "holder": "holder_"}
+_TOP_KEYS = {"measure", "weight", *_TOP, *_SECTIONS}
 
 
-def _section(d: dict, key: str, known: set) -> dict:
-    sub = d.get(key, {})
+def _section(raw: dict, key: str) -> dict:
+    """Parsed values of the keys that one config section sets."""
+    sub = raw.get(key, {})
     if not isinstance(sub, dict):
         raise ConfigError(f"config section {key!r} must be an object")
-    unknown = set(sub) - known
+    parsers = _SECTIONS[key]
+    unknown = set(sub) - set(parsers)
     if unknown:
         raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
-    return sub
+    return {_PREFIX.get(key, "") + k: parsers[k](v) for k, v in sub.items()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -168,48 +197,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         measure = SpectralMeasure.from_dict(raw["measure"])
         weight = WeightFunction.from_dict(raw["weight"])
-        sched = _section(raw, "schedule", {"y_max", "y_min", "ratio"})
-        schedule = YSchedule(
-            y_max=float(sched.get("y_max", 0.1)),
-            y_min=float(sched.get("y_min", 1e-6)),
-            ratio=float(sched.get("ratio", 0.5)),
-        )
-        disc = _section(raw, "discretization", {"n", "embedding_dim"})
-        tol = _section(raw, "tolerances", {"quadrature_abs", "convergence", "oracle_rel_gap"})
-        comp = _section(raw, "compactness", {"s", "radii"})
-        hold = _section(raw, "holder", {"target", "point", "r_max", "ratio", "count"})
-        evaluator = raw.get("evaluator", "transform")
-        if evaluator not in ("transform", "matrix"):
-            raise ConfigError(f"evaluator must be 'transform' or 'matrix', got {evaluator!r}")
-        holder_target = hold.get("target", "density")
-        if holder_target not in ("density", "weight"):
-            raise ConfigError(f"holder target must be 'density' or 'weight', got {holder_target!r}")
-        embedding_dim = disc.get("embedding_dim", SAME)
-        if embedding_dim != SAME:
-            embedding_dim = int(embedding_dim)
+        top = {("lam" if k == "lambda" else k): parse(raw[k]) for k, parse in _TOP.items() if k in raw}
         return ExperimentConfig(
             measure=measure,
             weight=weight,
-            lam=float(raw.get("lambda", 0.0)),
-            schedule=schedule,
-            evaluator=evaluator,
-            regularize=bool(raw.get("regularize", False)),
-            n=int(disc.get("n", 2000)),
-            embedding_dim=embedding_dim,
-            seed=int(raw.get("seed", 0)),
-            tolerances=Tolerances(
-                quadrature_abs=float(tol.get("quadrature_abs", DEFAULT_ABS_TOL)),
-                convergence=float(tol.get("convergence", 1e-6)),
-                oracle_rel_gap=float(tol.get("oracle_rel_gap", 1e-3)),
-            ),
-            compactness_s=float(comp.get("s", 1.0)),
-            compactness_radii=tuple(float(r) for r in comp.get("radii", (0.25, 0.5, 1.0, 2.0))),
-            holder_target=holder_target,
-            holder_point=None if hold.get("point") is None else float(hold["point"]),
-            holder_r_max=float(hold.get("r_max", 0.125)),
-            holder_ratio=float(hold.get("ratio", 0.5)),
-            holder_count=int(hold.get("count", 10)),
-            output_prefix=str(raw.get("output_prefix", "run")),
+            schedule=YSchedule(**_section(raw, "schedule")),
+            tolerances=Tolerances(**_section(raw, "tolerances")),
+            **top,
+            **_section(raw, "discretization"),
+            **_section(raw, "compactness"),
+            **_section(raw, "holder"),
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc

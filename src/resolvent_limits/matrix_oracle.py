@@ -2,8 +2,10 @@
 
 A model keeps the operator in its spectral representation: ``H`` is diagonal
 on real nodes, the rigging factor is ``F = J diag(w_i sqrt(mu_i))`` with ``J``
-an isometric-row embedding (``None`` for the identity, a seeded orthonormal
-matrix, or a user supplied one).  A sample ``T_z = F (H - z)^{-1} F*`` is
+an isometric-row embedding (``None`` for the identity, otherwise an m x n
+matrix with orthonormal rows; ``discretize`` draws a seeded one).  The node,
+mass, weight and flag arrays plus ``J`` are the whole model: the text form
+stores exactly these.  A sample ``T_z = F (H - z)^{-1} F*`` is
 stored in the same factored form, ``J diag(w_i^2 mu_i / (x_i - z)) J*``: the
 diagonal and the embedding, never a dense n x n array.  Norms, differences
 and traces come from the factors (``max |d|`` and ``sum d`` for the identity,
@@ -21,8 +23,7 @@ eigenvalue); continuum nodes are strictly increasing.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +55,6 @@ class MatrixModel:
     weights: np.ndarray
     atom_flags: np.ndarray
     embedding: np.ndarray | None = None  # None is the identity
-    embedding_seed: int | None = None  # set when embedding is _seeded_embedding's
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -95,10 +95,8 @@ class MatrixModel:
 
     @property
     def embedding_kind(self) -> str:
-        """One of "identity", "seeded" or "custom", read off the embedding."""
-        if self.embedding is None:
-            return "identity"
-        return "custom" if self.embedding_seed is None else "seeded"
+        """"identity" when ``embedding`` is None, else "embedded"."""
+        return "identity" if self.embedding is None else "embedded"
 
     @property
     def target_dim(self) -> int:
@@ -183,8 +181,9 @@ def discretize(
     ``mu_i = rho(x_i) * dx`` (total-mass error O(1/n^2) for smooth catalog
     densities); atoms become flagged nodes carrying their exact coordinate and
     mass.  Zero-mass density nodes are pruned.  ``embedding_dim=SAME`` keeps
-    the identity embedding, an integer m < n selects the first m rows of a
-    seeded orthonormal matrix.
+    the identity embedding; an integer m with 1 <= m <= node count selects the
+    first m rows of a seeded orthonormal matrix, and any other m raises
+    ValueError.
     """
     n = int(n)
     atoms = measure.atoms
@@ -193,8 +192,8 @@ def discretize(
         raise TooFewNodes(f"n={n} cannot hold {len(atoms)} atoms plus a density grid")
 
     budget = n - len(atoms)
-    coords: list = []
-    masses: list = []
+    coords = [np.empty(0)]
+    masses = [np.empty(0)]
     if measure.ac_parts and budget > 0:
         lengths = [p.support[1] - p.support[0] for p in measure.ac_parts]
         total_len = sum(lengths)
@@ -210,47 +209,34 @@ def discretize(
             lo, hi = part.support
             dx = (hi - lo) / cnt
             xs = lo + (np.arange(cnt) + 0.5) * dx
-            mus = part.values(xs) * dx
-            coords.extend(xs.tolist())
-            masses.extend(mus.tolist())
+            coords.append(xs)
+            masses.append(part.values(xs) * dx)
 
-    # merge density nodes that coincide exactly (overlapping parts on one grid)
-    merged: dict = {}
-    for x, mu in zip(coords, masses):
-        merged[x] = merged.get(x, 0.0) + mu
+    # merge density nodes that coincide exactly (overlapping parts on one
+    # grid); bincount sums each node's masses in order of appearance
+    xs, where = np.unique(np.concatenate(coords), return_inverse=True)
+    mus = np.bincount(where, weights=np.concatenate(masses), minlength=xs.size)
+    keep = ~(mus <= 0.0)  # prune nodes whose merged mass is not positive
+    xs, mus = xs[keep], mus[keep]
+    # atom matching is exact equality, so a density node may not sit on an
+    # atom coordinate; deterministic sub-grid nudge
+    locs = [a.location for a in atoms]
+    on_atom = np.isin(xs, locs)
+    xs[on_atom] += 1e-9 * np.maximum(np.abs(xs[on_atom]), 1.0)
 
-    atom_locs = {a.location for a in atoms}
-    rows = []
-    for x, mu in merged.items():
-        if mu <= 0.0:
-            continue  # prune zero-mass nodes
-        if x in atom_locs:
-            # atom matching is exact equality, so a density node may not sit
-            # on an atom coordinate; deterministic sub-grid nudge
-            x = x + 1e-9 * max(abs(x), 1.0)
-        rows.append((x, mu, False))
-    for a in atoms:
-        rows.append((a.location, a.mass, True))
-    rows.sort(key=lambda r: (r[0], r[2]))
+    nodes = np.concatenate([xs, locs])
+    mus = np.concatenate([mus, [a.mass for a in atoms]])
+    flags = np.repeat([False, True], [xs.size, len(atoms)])
+    order = np.lexsort((flags, nodes))
+    nodes, mus, flags = nodes[order], mus[order], flags[order]
 
-    nodes = np.array([r[0] for r in rows])
-    mus = np.array([r[1] for r in rows])
-    flags = np.array([r[2] for r in rows])
-    ws = weight.values(nodes)
-
-    m = nodes.size if embedding_dim == SAME else int(embedding_dim)
-    if m > nodes.size:
-        raise ValueError(f"embedding_dim {m} exceeds node count {nodes.size}")
-    if embedding_dim == SAME:
-        return MatrixModel(nodes=nodes, masses=mus, weights=ws, atom_flags=flags)
-    return MatrixModel(
-        nodes=nodes,
-        masses=mus,
-        weights=ws,
-        atom_flags=flags,
-        embedding=_seeded_embedding(m, nodes.size, seed),
-        embedding_seed=seed,
-    )
+    J = None
+    if embedding_dim != SAME:
+        m = int(embedding_dim)
+        if not 1 <= m <= nodes.size:
+            raise ValueError(f"embedding_dim must lie in [1, {nodes.size}], got {m}")
+        J = _seeded_embedding(m, nodes.size, seed)
+    return MatrixModel(nodes=nodes, masses=mus, weights=weight.values(nodes), atom_flags=flags, embedding=J)
 
 
 def _resolvent_sample(model: MatrixModel, z: complex, exclude: np.ndarray | None) -> OperatorSample:
@@ -335,8 +321,8 @@ def quadratic_form(model: MatrixModel, z: complex, u: np.ndarray | None = None) 
     return complex(np.sum(coeff * d2 / (model.nodes - z)))
 
 
-def resolution_floor(model: MatrixModel, lam: float, factor: float = 10.0) -> float:
-    """Smallest trustworthy |Im z| near ``lam``: factor times local spacing.
+def resolution_floor(model: MatrixModel, lam: float) -> float:
+    """Smallest trustworthy |Im z| near ``lam``: ten times the local spacing.
 
     Below this the discretized continuum acts like point spectrum.  Models
     with fewer than two continuum nodes have no floor (returns 0).
@@ -353,46 +339,36 @@ def resolution_floor(model: MatrixModel, lam: float, factor: float = 10.0) -> fl
         local.append(gaps[idx])
     if not local:
         local.append(gaps[-1] if idx > 0 else gaps[0])
-    return float(factor * max(local))
+    return float(10.0 * max(local))
 
 
 def model_to_text(model: MatrixModel) -> str:
-    """Serialize to structured text; seeded embeddings store (seed, dim)."""
+    """Serialize to structured text.  The embedding is stored entrywise:
+    ``null`` for the identity, else the rows of J as floats, a complex J with
+    each entry as a (real, imag) pair."""
+    J, emb = model.embedding, None
+    if J is not None:
+        dtype = complex if np.iscomplexobj(J) else float
+        emb = {"complex": dtype is complex, "rows": np.ascontiguousarray(J, dtype).view(float).tolist()}
     d = {
         "nodes": model.nodes.tolist(),
         "masses": model.masses.tolist(),
         "weights": model.weights.tolist(),
         "atom_flags": [bool(v) for v in model.atom_flags],
-        "embedding": {
-            "kind": model.embedding_kind,
-            "dim": model.target_dim,
-            "seed": model.embedding_seed,
-        },
+        "embedding": emb,
     }
-    if model.embedding_kind == "custom":
-        d["embedding"]["matrix_real"] = np.real(model.embedding).tolist()
-        d["embedding"]["matrix_imag"] = np.imag(model.embedding).tolist()
     return json.dumps(d, indent=2, sort_keys=True)
 
 
 def model_from_text(text: str) -> MatrixModel:
     d = json.loads(text)
-    emb = d["embedding"]
-    n = len(d["nodes"])
-    kind = emb["kind"]
-    J, seed = None, None
-    if kind == "seeded":
-        seed = int(emb["seed"])
-        J = _seeded_embedding(int(emb["dim"]), n, seed)
-    elif kind == "custom":
-        J = np.asarray(emb["matrix_real"]) + 1j * np.asarray(emb["matrix_imag"])
-    elif kind != "identity":
-        raise ValueError(f"unknown embedding kind {kind!r}")
+    emb, J = d["embedding"], None
+    if emb is not None:
+        J = np.asarray(emb["rows"], dtype=float).view(complex if emb["complex"] else float)
     return MatrixModel(
         nodes=np.asarray(d["nodes"], dtype=float),
         masses=np.asarray(d["masses"], dtype=float),
         weights=np.asarray(d["weights"], dtype=float),
         atom_flags=np.asarray(d["atom_flags"], dtype=bool),
         embedding=J,
-        embedding_seed=seed,
     )

@@ -10,7 +10,6 @@ from resolvent_limits import (
     Atom,
     AtomAtProbe,
     DensityFamily,
-    HolderEstimate,
     NonrealRequired,
     NotHolder,
     SpectralMeasure,
@@ -175,9 +174,6 @@ def test_principal_value_guards():
     m = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.5, 1.0),))
     with pytest.raises(AtomAtProbe):
         principal_value(m, PLATEAU, 0.5)
-    bad_cert = HolderEstimate(alpha_hat=-0.2, constant_hat=1.0, fit_window=(0.01, 0.1), residual=0.0)
-    with pytest.raises(NotHolder):
-        principal_value(FLAT, PLATEAU, 0.3, certificate=bad_cert)
     with pytest.raises(NotHolder):
         principal_value(FLAT, PLATEAU, 1.0)  # density jump at the support edge
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import resolvent_limits
-from resolvent_limits.cli import load_config, main
+from resolvent_limits.cli import ExperimentConfig, load_config, main
 from resolvent_limits.errors import ConfigError
 
 FLAT_MEASURE = {
@@ -19,6 +19,12 @@ ATOM_MEASURE = {
     "ac_parts": [{"kind": "constant", "parameters": {"level": 0.005}, "support": [-1.0, 1.0]}],
     "atoms": [{"location": 0.0, "mass": 1.0}],
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the child processes import the same checkout as this process
+SRC = str(Path(resolvent_limits.__file__).resolve().parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def write_config(path, **overrides):
@@ -223,9 +229,6 @@ def test_byte_identical_reruns(tmp_path):
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
-    # the child imports the same checkout as this process
-    src = str(Path(resolvent_limits.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [
             sys.executable,
@@ -241,7 +244,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "verdict=CONVERGES" in proc.stdout
@@ -252,3 +255,51 @@ def test_bad_holder_radius_count_exits_one(tmp_path):
     out = tmp_path / "out"
     assert main(["holder-fit", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"measure": FLAT_MEASURE, "weight": PLATEAU_WEIGHT}))
+    loaded = load_config(cfg)
+    assert loaded == ExperimentConfig(measure=loaded.measure, weight=loaded.weight)
+
+
+@pytest.mark.parametrize("dim", [0, -2, 5.7, True, "5", None])
+def test_embedding_dim_must_be_same_or_positive_integer(tmp_path, dim):
+    cfg = write_config(
+        tmp_path / "c.json",
+        measure=ATOM_MEASURE,
+        evaluator="matrix",
+        discretization={"n": 13, "embedding_dim": dim},
+    )
+    with pytest.raises(ConfigError, match="embedding_dim"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
+def test_shipped_config_runs(tmp_path, config):
+    command = "probe-limit" if config.startswith("probe_limit") else config[: -len(".json")].replace("_", "-")
+    assert main([command, "--config", str(ROOT / "configs" / config), "--out", str(tmp_path)]) == 0
+
+
+def test_holder_rates_script_runs(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "run_holder_rates.py"),
+            "--alphas",
+            "0.5",
+            "--steps",
+            "8",
+            "--out",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "rates.csv").read_text().splitlines()) == 1 + 8

@@ -84,6 +84,117 @@ def test_discretize_nudges_node_off_atom():
     assert np.all(np.diff(model.nodes) > 0)
 
 
+def _midpoint_grids(parts, budget):
+    """(xs, masses) of each a.c. part, with the budget split of discretize."""
+    if not parts:
+        return []
+    lengths = [p.support[1] - p.support[0] for p in parts]
+    counts = [max(1, int(budget * L / sum(lengths))) for L in lengths]
+    while sum(counts) > budget and max(counts) > 1:
+        counts[counts.index(max(counts))] -= 1
+    idx = 0
+    while sum(counts) < budget:
+        counts[idx % len(counts)] += 1
+        idx += 1
+    grids = []
+    for part, cnt in zip(parts, counts):
+        lo, hi = part.support
+        dx = (hi - lo) / cnt
+        xs = lo + (np.arange(cnt) + 0.5) * dx
+        grids.append((xs, part.values(xs) * dx))
+    return grids
+
+
+def _reference_nodes(measure, n):
+    """Node build of discretize as a per-node loop: a dict merges coinciding
+    midpoints, then rows of (x, mu, flag) are sorted by (x, flag)."""
+    merged = {}
+    for xs, mus in _midpoint_grids(measure.ac_parts, n - len(measure.atoms)):
+        for x, mu in zip(xs.tolist(), mus.tolist()):
+            merged[x] = merged.get(x, 0.0) + mu
+    atom_locs = {a.location for a in measure.atoms}
+    rows = [(a.location, a.mass, True) for a in measure.atoms]
+    for x, mu in merged.items():
+        if mu > 0.0:
+            rows.append((x + 1e-9 * max(abs(x), 1.0) if x in atom_locs else x, mu, False))
+    rows.sort(key=lambda r: (r[0], r[2]))
+    return [np.array([r[k] for r in rows], dtype=dt) for k, dt in enumerate((float, float, bool))]
+
+
+EDGES = (-1.0, -0.5, 0.0, 0.25, 1.0)  # shared support edges make parts overlap on one grid
+
+
+@st.composite
+def catalog_measures(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(EDGES), min_size=2, max_size=2, unique=True)))
+        kind = draw(st.sampled_from(["constant", "affine", "power_bump", "smooth_bump"]))
+        level = draw(st.floats(0.0, 2.0))
+        params = {
+            "constant": lambda: {"level": level},
+            # negative levels and slopes make parts whose merged nodes are pruned
+            "affine": lambda: {"level": draw(st.floats(-1.0, 1.0)), "slope": draw(st.floats(-3.0, 3.0)), "center": lo},
+            "power_bump": lambda: {"level": level, "exponent": draw(st.floats(0.1, 1.0)), "center": draw(st.floats(lo, hi))},
+            "smooth_bump": lambda: {"level": level, "center": (lo + hi) / 2, "half_width": (hi - lo) / 2},
+        }[kind]()
+        parts.append(DensityFamily(kind, params, (lo, hi)))
+    n_atoms = draw(st.integers(0 if parts else 1, 2))
+    n = draw(st.integers(n_atoms + (max(2, len(parts)) if parts else 0), 60))
+    # atoms anywhere, or exactly on a midpoint of the grid that discretize builds
+    midpoints = [x for xs, _ in _midpoint_grids(parts, n - n_atoms) for x in xs.tolist()]
+    place = (st.floats(-1.5, 1.5) | st.sampled_from(midpoints)) if midpoints else st.floats(-1.5, 1.5)
+    locs = draw(st.lists(place, min_size=n_atoms, max_size=n_atoms, unique=True))
+    atoms = tuple(Atom(x, draw(st.floats(0.1, 2.0))) for x in sorted(locs))
+    return SpectralMeasure(ac_parts=tuple(parts), atoms=atoms), n
+
+
+@given(catalog_measures())
+@settings(max_examples=200, deadline=None)
+def test_array_node_build_matches_loop_and_invariants(case):
+    measure, n = case
+    model = discretize(measure, PLATEAU, n)
+    nodes, masses, flags = _reference_nodes(measure, n)
+    assert model.nodes.tobytes() == nodes.tobytes()
+    assert model.masses.tobytes() == masses.tobytes()
+    assert np.array_equal(model.atom_flags, flags)
+    assert np.all(np.diff(model.nodes) >= 0)
+    cont = model.nodes[~model.atom_flags]
+    assert np.all(np.diff(cont) > 0)
+    for atom in measure.atoms:
+        at = model.nodes == atom.location
+        assert not np.any(at & ~model.atom_flags)
+        assert np.array_equal(model.masses[at & model.atom_flags], [atom.mass])
+    # pruning drops only merged masses <= 0, so it can only raise the total
+    grid_masses = [mus for _, mus in _midpoint_grids(measure.ac_parts, n - len(measure.atoms))]
+    per_part = sum(float(np.sum(mus)) for mus in grid_masses)
+    slack = 1e-12 * sum(float(np.sum(np.abs(mus))) for mus in grid_masses)
+    cont_mass = float(np.sum(model.masses[~model.atom_flags]))
+    assert cont_mass >= per_part - slack
+    if all(np.all(mus >= 0) for mus in grid_masses):
+        assert abs(cont_mass - per_part) <= slack
+
+
+@pytest.mark.parametrize("m", [0, -1, 14])
+def test_embedding_dim_outside_node_count_rejected(m):
+    measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.0, 1.0),))
+    assert discretize(measure, PLATEAU, 13, 13).target_dim == 13
+    with pytest.raises(ValueError, match="embedding_dim"):
+        discretize(measure, PLATEAU, 13, m)
+
+
+def test_discretize_builds_arrays_only():
+    measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.0, 1.0),))
+    tracemalloc.start()
+    try:
+        model = discretize(measure, PLATEAU, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.size == 200_000
+    assert peak < 32 * 2**20  # arrays peak near 18 MB here, a float and a tuple per node near 56 MB
+
+
 def test_sandwiched_single_atom_divergence_term():
     y = 1e-3
     model = _model([0.5], flags=[True])
@@ -271,16 +382,27 @@ def test_resolution_floor():
     assert resolution_floor(atoms_only, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("embedding_dim", ["same", 7])
-def test_model_text_round_trip(embedding_dim):
+@pytest.mark.parametrize("embedding", ["same", 7, "real", "complex"])
+def test_model_text_round_trip(embedding):
     m = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.3, 0.5),))
-    model = discretize(m, PLATEAU, 12, embedding_dim, seed=4)
+    if embedding in ("same", 7):
+        model = discretize(m, PLATEAU, 12, embedding, seed=4)
+    else:
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((12, 3))
+        if embedding == "complex":
+            g = g + 1j * rng.standard_normal((12, 3))
+        model = _model(np.arange(12.0), embedding=np.linalg.qr(g)[0].T.conj())
     again = model_from_text(model_to_text(model))
     assert np.array_equal(again.nodes, model.nodes)
     assert np.array_equal(again.masses, model.masses)
     assert np.array_equal(again.weights, model.weights)
     assert np.array_equal(again.atom_flags, model.atom_flags)
     assert np.array_equal(again.embedding, model.embedding)
+    if embedding == "same":
+        assert again.embedding is None
+    else:
+        assert again.embedding.dtype == (complex if embedding == "complex" else float)
     assert again.embedding_kind == model.embedding_kind
 
 
@@ -288,7 +410,7 @@ def test_passed_embedding_is_used_and_checked():
     # a 1 x 2 row embedding: samples are 1 x 1, not the n x n identity ones
     J = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
     model = _model([0.0, 0.5], weights=[0.8, 1.0], flags=[True, False], embedding=J)
-    assert model.embedding_kind == "custom"
+    assert model.embedding_kind == "embedded"
     assert model.target_dim == 1
     z = complex(0.0, 1e-3)
     T = sandwiched_resolvent(model, z).T
@@ -312,7 +434,7 @@ def test_seeded_samples_match_dense_references(n, data, seed, lam, log_y):
     m = data.draw(st.integers(1, n - 1))
     measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(lam, 0.7),))
     model = discretize(measure, PLATEAU, n, m, seed=seed)
-    assert model.embedding_kind == "seeded"
+    assert model.embedding_kind == "embedded"
     y = 10.0**log_y
     sched = YSchedule(y_max=y, y_min=y * 0.5**7, ratio=0.5)
     samples = []
