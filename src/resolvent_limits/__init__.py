@@ -27,10 +27,6 @@ from .spectral_model import (
     WeightFunction,
     estimate_holder,
     geometric_radii,
-    measure_from_text,
-    measure_to_text,
-    weight_from_text,
-    weight_to_text,
 )
 from .cauchy_transform import (
     SplitMeasure,

@@ -16,10 +16,15 @@ clamp(Re z, lo, hi) taken from inside the piece,
                                 + c * [log(hi - z) - log(lo - z)].
 
 The subtracted integrand is bounded near Re z for Lipschitz phi and only
-integrably singular for Holder phi, so panel quadrature resolves it; breakpoints
-graded geometrically toward the clamp point, down to about half its distance
-from z, make the panel error estimate see the O(y |phi'|) term that lives
-within |Im z| of Re z.  At Im z = 0+ the logs take the branch below the axis,
+integrably singular for Holder phi, so panel quadrature resolves it on seed
+breakpoints graded geometrically (ratio ``GRADING``) toward two kinds of edge.
+Toward the clamp point the grading goes down to half its distance from z, so
+the panel error estimate sees the O(y |phi'|) term that lives within |Im z| of
+Re z.  Toward a cusp of phi, an edge the catalog lists in ``cusps()`` (a
+power_bump or power_hat centre, with Holder exponent below 1), it goes down to
+one grading step above the width at which the quadrature freezes a panel there.
+The seed grid then usually meets the target in one integrand call, at every y
+and at y = 0+.  At Im z = 0+ the logs take the branch below the axis,
 which yields the principal value plus the Plemelj jump ``i pi w(lam)^2
 rho(lam)`` directly, valid when density and weight are Holder at ``lam``.
 
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtomAtProbe, NonrealRequired, NotHolder
-from .quadrature import DEFAULT_ABS_TOL, integrate_adaptive
+from .quadrature import DEFAULT_ABS_TOL, FREEZE, integrate_adaptive
 from .spectral_model import SpectralMeasure, WeightFunction
 
 __all__ = [
@@ -50,7 +55,7 @@ __all__ = [
     "weighted_mass",
 ]
 
-GRADING = 0.25  # ratio of successive seed distances toward the clamp point
+GRADING = 0.25  # ratio of successive seed distances toward the pole or a cusp
 
 
 @dataclass(frozen=True)
@@ -123,13 +128,21 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
                 raise NotHolder(f"w^2 rho jumps at lam={x0}: the principal value diverges")
             total -= rise * cmath.log(complex(e - x0, -y))
 
+    cusps = {*measure.cusps(), *weight.cusps()}
     seeds = []
     for p, (lo, hi) in zip(near, pieces):
-        reach = abs(complex(p - x0, y))
-        step = GRADING * (hi - lo)
-        while 0.0 < 0.5 * reach < step:
-            seeds.append(p + step if p == lo else p - step)
-            step *= GRADING
+        for e, side in ((lo, 1.0), (hi, -1.0)):
+            # toward the pole down to half its distance from z; toward a cusp
+            # down to one grading step above the freeze width there (nearer
+            # in, node rounding swamps the panel error estimates)
+            reach = abs(complex(e - x0, y))
+            stops = [0.5 * reach] if e == p and reach else []
+            if e in cusps:
+                stops.append(FREEZE / GRADING * (abs(e) or hi - lo))
+            step = GRADING * (hi - lo)
+            while stops and min(stops) < step:
+                seeds.append(e + side * step)
+                step *= GRADING
     phi = _phi_factory(measure, weight)
     inner = np.array(edges[1:-1])
 

@@ -131,6 +131,19 @@ def _embedding_dim(value):
     raise ConfigError(f"embedding_dim must be {SAME!r} or a positive integer, got {value!r}")
 
 
+def _exact(name: str, kind: type):
+    """Parser of a JSON boolean (kind bool) or integer (kind int): no coercion,
+    so "false" is not False, 13.9 is not 13, and true is not 1."""
+
+    def parse(value):
+        if type(value) is not kind:
+            expected = "true or false" if kind is bool else "an integer"
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        return value
+
+    return parse
+
+
 def _one_of(name: str, *allowed):
     def parse(value):
         if value not in allowed:
@@ -147,13 +160,13 @@ def _one_of(name: str, *allowed):
 _TOP = {
     "lambda": float,
     "evaluator": _one_of("evaluator", "transform", "matrix"),
-    "regularize": bool,
-    "seed": int,
+    "regularize": _exact("regularize", bool),
+    "seed": _exact("seed", int),
     "output_prefix": str,
 }
 _SECTIONS = {
     "schedule": {"y_max": float, "y_min": float, "ratio": float},
-    "discretization": {"n": int, "embedding_dim": _embedding_dim},
+    "discretization": {"n": _exact("n", int), "embedding_dim": _embedding_dim},
     "tolerances": {"quadrature_abs": float, "convergence": float, "oracle_rel_gap": float},
     "compactness": {"s": float, "radii": lambda radii: tuple(float(r) for r in radii)},
     "holder": {
@@ -161,7 +174,7 @@ _SECTIONS = {
         "point": lambda p: None if p is None else float(p),
         "r_max": float,
         "ratio": float,
-        "count": int,
+        "count": _exact("holder count", int),
     },
 }
 _PREFIX = {"compactness": "compactness_", "holder": "holder_"}

@@ -2,17 +2,19 @@
 
 The integrands reaching this layer are bounded or integrably singular only at
 panel edges: the Cauchy-transform kernel subtracts the near-axis pole before
-integrating and seeds breakpoints graded toward it, and the catalog's cusps
-and kinks sit on breakpoints.  So plain bisection driven by an embedded error
-estimate suffices.
+integrating, the catalog's kinks and cusps sit on breakpoints, and the kernel
+seeds breakpoints graded geometrically toward the pole and toward each cusp.
+So plain bisection driven by an embedded error estimate suffices, and the
+seed grid alone usually meets the target.
 
 Per panel the integral is evaluated with an n-point and a 2n-point rule; the
 2n value is kept and the difference serves as the (conservative) error
-estimate.  All seed panels go to the integrand in one call, and so do both
-children of each bisection.  The worst panel is bisected until the summed
-estimate meets the absolute target or the panel budget runs out.  The
-returned estimate is always the honest sum over panels, and
-``tolerance_met`` says whether it meets the target.
+estimate.  All seed panels go to the integrand in one call.  When their summed
+estimate meets the absolute target, their sum is returned at once.  Otherwise
+the worst panel is bisected, both children in one call, until the summed
+estimate meets the target or the panel budget runs out.  Either way panels
+are summed left to right, and the returned estimate is the honest sum over
+panels; ``tolerance_met`` says whether it meets the target.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["DEFAULT_ABS_TOL", "PanelIntegral", "integrate_adaptive"]
+__all__ = ["DEFAULT_ABS_TOL", "FREEZE", "PanelIntegral", "integrate_adaptive"]
 
 DEFAULT_ABS_TOL = 1e-10  # absolute quadrature target of every caller that sets none
+# within this relative width of its own location a panel's nodes are rounded
+# onto a handful of floats: its error is irreducible, and it is not split
+FREEZE = 64 * np.finfo(float).eps
 
 _RULES: dict = {}
 
@@ -45,6 +50,12 @@ class PanelIntegral:
     error: float
     panels: int
     tolerance_met: bool = True
+
+
+def _summed(vals, errs, abs_tol: float) -> PanelIntegral:
+    """Panel values and error estimates summed left to right (deterministic)."""
+    error = float(sum(errs))
+    return PanelIntegral(sum(vals, 0.0 + 0.0j), error, len(errs), error <= abs_tol)
 
 
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray, order: int):
@@ -83,18 +94,18 @@ def integrate_adaptive(
 
     edges = np.array(sorted({a, b}.union(float(p) for p in breakpoints if a < p < b)))
     vals, errs = _eval_panels(f, edges[:-1], edges[1:], order)
+    live_error = float(np.sum(errs))
+    if live_error <= abs_tol:  # the seed grid meets the target: no heap
+        return _summed(vals, errs, abs_tol)
     heap = [(-e, k, lo, hi, v, e) for k, (lo, hi, v, e) in enumerate(zip(edges[:-1], edges[1:], vals, errs))]
     heapq.heapify(heap)
     frozen = []  # panels too narrow to split further
     counter = len(heap)
-    live_error = float(np.sum(errs))
 
     while counter < max_panels and heap and live_error > abs_tol:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         live_error -= err
-        # within 64 ulps of its own location a panel's nodes are rounded onto
-        # a handful of floats: its error is irreducible
-        if hi - lo <= 64 * np.finfo(float).eps * max(abs(lo), abs(hi)):
+        if hi - lo <= FREEZE * max(abs(lo), abs(hi)):
             frozen.append((lo, hi, val, err))
             continue
         mid = 0.5 * (lo + hi)
@@ -106,7 +117,6 @@ def integrate_adaptive(
 
     panels = [(item[2], item[3], item[4], item[5]) for item in heap]
     panels.extend(frozen)
-    panels.sort(key=lambda p: p[0])  # deterministic summation order
-    value = sum((p[2] for p in panels), 0.0 + 0.0j)
-    error = float(sum(p[3] for p in panels))
-    return PanelIntegral(value, error, len(panels), error <= abs_tol)
+    panels.sort(key=lambda p: p[0])  # left to right, as the seed grid
+    _, _, vals, errs = zip(*panels)
+    return _summed(vals, errs, abs_tol)

@@ -3,7 +3,8 @@
 Densities and weights come from a closed catalog of families instead of
 arbitrary callables.  That keeps configurations serializable, makes the local
 Holder exponent at any point known ground truth, and lets the quadrature layer
-place panel breakpoints at the exact kink/cusp locations of each family.
+place panel breakpoints at the exact kink/cusp locations of each family and
+grade its panels toward the cusps (``cusps()``).
 
 Density catalog (``DensityFamily.kind``):
 
@@ -29,7 +30,6 @@ Weight catalog (``WeightFunction.kind``):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -46,10 +46,6 @@ __all__ = [
     "HolderEstimate",
     "estimate_holder",
     "geometric_radii",
-    "measure_from_text",
-    "measure_to_text",
-    "weight_from_text",
-    "weight_to_text",
 ]
 
 _DENSITY_PARAMS = {
@@ -144,21 +140,19 @@ class DensityFamily:
                 return (c,)
         return ()
 
+    def cusps(self) -> tuple:
+        """Points where the Holder exponent is below 1: a power_bump centre."""
+        p = self.parameters
+        return (p["center"],) if self.kind == "power_bump" and p["exponent"] < 1.0 else ()
+
     def holder_exponent_at(self, x: float) -> float | None:
         """Known local Holder exponent at ``x``, or None when discontinuous."""
         lo, hi = self.support
         if x < lo or x > hi:
             return 1.0
-        if x == lo or x == hi:
-            edge = float(self.values(np.asarray([x]))[0])
-            if edge != 0.0:
-                return None
-            if self.kind == "power_bump" and x == self.parameters["center"]:
-                return self.parameters["exponent"]
-            return 1.0
-        if self.kind == "power_bump" and x == self.parameters["center"]:
-            return self.parameters["exponent"]
-        return 1.0
+        if (x == lo or x == hi) and float(self.values(np.asarray([x]))[0]) != 0.0:
+            return None
+        return self.parameters["exponent"] if x in self.cusps() else 1.0
 
     def to_dict(self) -> dict:
         return {
@@ -220,6 +214,10 @@ class SpectralMeasure:
             pts.update(part.support)
             pts.update(part.breakpoints())
         return tuple(sorted(pts))
+
+    def cusps(self) -> tuple:
+        """Cusps of the parts: where a part's Holder exponent is below 1."""
+        return tuple(c for part in self.ac_parts for c in part.cusps())
 
     def holder_exponent_at(self, lam: float) -> float | None:
         """Catalog Holder exponent of the total density at ``lam``.
@@ -313,6 +311,11 @@ class WeightFunction:
             return (self.parameters["center"],)
         return ()
 
+    def cusps(self) -> tuple:
+        """Points where the Holder exponent is below 1: a power_hat centre."""
+        p = self.parameters
+        return (p["center"],) if self.kind == "power_hat" and p["exponent"] < 1.0 else ()
+
     def holder_data(self) -> tuple:
         """Global (constant, exponent) valid for pairs inside the support."""
         h = self.parameters["half_width"]
@@ -331,9 +334,7 @@ class WeightFunction:
             return 1.0
         if self.kind == "plateau" and (x == lo or x == hi):
             return None
-        if self.kind == "power_hat" and x == self.parameters["center"]:
-            return self.parameters["exponent"]
-        return 1.0
+        return self.parameters["exponent"] if x in self.cusps() else 1.0
 
     def to_dict(self) -> dict:
         return {
@@ -414,20 +415,3 @@ def estimate_holder(
         fit_window=(float(rs.min()), float(rs.max())),
         residual=residual,
     )
-
-
-def measure_to_text(measure: SpectralMeasure) -> str:
-    """Serialize a measure to config text (exact float round-trip)."""
-    return json.dumps(measure.to_dict(), indent=2, sort_keys=True)
-
-
-def measure_from_text(text: str) -> SpectralMeasure:
-    return SpectralMeasure.from_dict(json.loads(text))
-
-
-def weight_to_text(weight: WeightFunction) -> str:
-    return json.dumps(weight.to_dict(), indent=2, sort_keys=True)
-
-
-def weight_from_text(text: str) -> WeightFunction:
-    return WeightFunction.from_dict(json.loads(text))

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import resolvent_limits.cauchy_transform as ct
 from resolvent_limits import (
     Atom,
     AtomAtProbe,
@@ -137,6 +138,91 @@ def test_offaxis_reports_missed_target():
     tv = evaluate_offaxis(m, PLATEAU, complex(0.3, 1e-3), abs_tol=1e-30)
     assert tv.abs_error_estimate > 1e-30
     assert tv.tolerance_met is False
+
+
+CUSP_LADDER = tuple(10.0 ** -k for k in range(1, 13))
+
+
+def symmetric_cusp(c, expo, level, h):
+    """level |x - c|^expo on [c - h, c + h] under a plateau weight covering it:
+    C(c + iy) is purely imaginary, and C(c + i0) = 0."""
+    part = DensityFamily("power_bump", {"level": level, "exponent": expo, "center": c}, (c - h, c + h))
+    return SpectralMeasure((part,)), WeightFunction("plateau", {"center": c, "half_width": 1.25 * h})
+
+
+@given(
+    st.floats(-0.5, 0.5),
+    st.floats(0.6, 1.0),
+    st.floats(0.5, 1.5),
+    st.floats(0.3, 1.0),
+)
+@example(0.0, 0.6, 1.5, 1.0)
+@settings(max_examples=30)
+def test_symmetric_cusp_ladder(c, expo, level, h):
+    measure, weight = symmetric_cusp(c, expo, level, h)
+    abs_tol = 1e-10
+    for y in CUSP_LADDER:
+        tv = evaluate_offaxis(measure, weight, complex(c, y), abs_tol=abs_tol)
+        assert tv.tolerance_met, y
+        assert abs(tv.value.real) <= abs_tol + 64 * EPS * abs(tv.value), y
+    # On the axis the content of the last float on either side of c,
+    # level ulp(c)^expo / expo, cannot be sampled; it falls below 1e-11 for
+    # expo >= 0.75 but exceeds abs_tol near expo = 0.6.
+    last_float = 2 * level * np.spacing(abs(c)) ** expo / expo
+    assert abs(plemelj_boundary(measure, weight, c, abs_tol=abs_tol)) <= abs_tol + last_float
+
+
+@pytest.mark.parametrize("c", [-0.5, -0.2, 0.0, 1e-3, 0.3, 0.5])
+@pytest.mark.parametrize("expo", [0.75, 0.9, 1.0])
+def test_cusp_rung_takes_one_integrand_call(monkeypatch, c, expo):
+    # graded seeds resolve the cusp up front instead of one bisection per call
+    calls = []
+    integrate = ct.integrate_adaptive
+
+    def counting(f, *args, **kwargs):
+        def g(x):
+            calls[-1] += 1
+            return f(x)
+
+        calls.append(0)
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(ct, "integrate_adaptive", counting)
+    measure, weight = symmetric_cusp(c, expo, 1.5, 1.0)
+    for y in CUSP_LADDER:
+        evaluate_offaxis(measure, weight, complex(c, y))
+    plemelj_boundary(measure, weight, c)
+    assert len(calls) == len(CUSP_LADDER) + 1
+    assert max(calls) <= 2, calls
+
+
+def test_power_hat_cusp_boundary_meets_target():
+    # transform-deep-y seed 10, cusp-power_hat#14: the exact value is 0, and
+    # bisection one panel per call stopped at 1.44e-10 with the target missed.
+    # plemelj_boundary returns a bare complex, so ask the kernel directly.
+    c = 0.2986604149731032
+    part = DensityFamily(
+        "power_bump",
+        {"level": 1.3081039331030082, "exponent": 0.6051905086311572, "center": c},
+        (-0.7013395850268969, 1.2986604149731031),
+    )
+    weight = WeightFunction(
+        "power_hat", {"center": c, "half_width": 1.1084140055848255, "exponent": 0.7086899537504361}
+    )
+    tv = ct._transform(SpectralMeasure((part,)), weight, complex(c, 0.0), 1e-10)
+    assert tv.tolerance_met
+    assert abs(tv.value) <= 1e-10
+
+
+def test_cusp_estimate_covers_the_error_at_tiny_y():
+    # power_bump exponent 0.45 at z = c + 1e-12 i; reference Im C from a
+    # 50-digit quadrature of 2 level int_0^0.9 t^0.45 y / (t^2 + y^2) dt
+    c = 0.73
+    part = DensityFamily("power_bump", {"level": 1.1, "exponent": 0.45, "center": c}, (c - 0.9, c + 0.9))
+    weight = WeightFunction("plateau", {"center": c, "half_width": 1.25})
+    ref = 1.8092431655150677e-05j
+    tv = evaluate_offaxis(SpectralMeasure((part,)), weight, complex(c, 1e-12))
+    assert abs(tv.value - ref) <= tv.abs_error_estimate + 64 * EPS * abs(ref)
 
 
 def test_principal_value_odd_symmetry():

@@ -279,6 +279,29 @@ def test_embedding_dim_must_be_same_or_positive_integer(tmp_path, dim):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("regularize", {"regularize": "false"}),
+        ("regularize", {"regularize": 0}),
+        ("n", {"discretization": {"n": 13.9}}),
+        ("n", {"discretization": {"n": True}}),
+        ("n", {"discretization": {"n": "13"}}),
+        ("seed", {"seed": 0.5}),
+        ("holder count", {"holder": {"count": 10.0}}),
+    ],
+    ids=["regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float"],
+)
+def test_config_types_are_exact(tmp_path, key, overrides):
+    # a string "false" used to run a regularized probe, and 13.9 became n = 13
+    cfg = write_config(tmp_path / "c.json", measure=ATOM_MEASURE, evaluator="matrix", **overrides)
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
 def test_shipped_config_runs(tmp_path, config):
     command = "probe-limit" if config.startswith("probe_limit") else config[: -len(".json")].replace("_", "-")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,10 +14,6 @@ from resolvent_limits import (
     WeightFunction,
     estimate_holder,
     geometric_radii,
-    measure_from_text,
-    measure_to_text,
-    weight_from_text,
-    weight_to_text,
 )
 
 from conftest import density_families, spectral_measures, weight_functions
@@ -145,15 +142,15 @@ def test_weight_holder_pair_bound(weight, data):
     )
 
 
+# exact round trips through the JSON text a config holds
 @given(spectral_measures())
 def test_measure_round_trip_exact(measure):
-    again = measure_from_text(measure_to_text(measure))
-    assert again == measure
+    assert SpectralMeasure.from_dict(json.loads(json.dumps(measure.to_dict()))) == measure
 
 
 @given(weight_functions())
 def test_weight_round_trip_exact(weight):
-    assert weight_from_text(weight_to_text(weight)) == weight
+    assert WeightFunction.from_dict(json.loads(json.dumps(weight.to_dict()))) == weight
 
 
 def test_validation_errors():
