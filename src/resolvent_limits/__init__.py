@@ -44,8 +44,6 @@ from .matrix_oracle import (
     OperatorSample,
     discretize,
     eigen_contribution,
-    model_from_text,
-    model_to_text,
     operator_norm,
     quadratic_form,
     regularized_resolvent,

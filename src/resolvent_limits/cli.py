@@ -131,17 +131,27 @@ def _embedding_dim(value):
     raise ConfigError(f"embedding_dim must be {SAME!r} or a positive integer, got {value!r}")
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
 def _exact(name: str, kind: type):
-    """Parser of a JSON boolean (kind bool) or integer (kind int): no coercion,
-    so "false" is not False, 13.9 is not 13, and true is not 1."""
+    """Parser of a JSON boolean, integer, finite number or string (kind bool,
+    int, float or str) without coercion: "false" is not False, 13.9 is not
+    13, true is not 1, "0.3" is not 0.3, and NaN is not a number.  An integer
+    is a number and is read as a float."""
 
     def parse(value):
-        if type(value) is not kind:
-            expected = "true or false" if kind is bool else "an integer"
-            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)
+        if type(value) is not kind or (kind is float and not math.isfinite(value)):
+            raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
         return value
 
     return parse
+
+
+def _numbers(section: str, *keys: str) -> dict:
+    return {k: _exact(f"{section} {k}", float) for k in keys}
 
 
 def _one_of(name: str, *allowed):
@@ -158,22 +168,24 @@ def _one_of(name: str, *allowed):
 # section's prefix plus the key); a key the config leaves out is not passed,
 # so every default is stated once, on its dataclass.
 _TOP = {
-    "lambda": float,
+    "lambda": _exact("lambda", float),
     "evaluator": _one_of("evaluator", "transform", "matrix"),
     "regularize": _exact("regularize", bool),
     "seed": _exact("seed", int),
-    "output_prefix": str,
+    "output_prefix": _exact("output_prefix", str),
 }
 _SECTIONS = {
-    "schedule": {"y_max": float, "y_min": float, "ratio": float},
+    "schedule": _numbers("schedule", "y_max", "y_min", "ratio"),
     "discretization": {"n": _exact("n", int), "embedding_dim": _embedding_dim},
-    "tolerances": {"quadrature_abs": float, "convergence": float, "oracle_rel_gap": float},
-    "compactness": {"s": float, "radii": lambda radii: tuple(float(r) for r in radii)},
+    "tolerances": _numbers("tolerances", "quadrature_abs", "convergence", "oracle_rel_gap"),
+    "compactness": {
+        **_numbers("compactness", "s"),
+        "radii": lambda radii: tuple(map(_exact("compactness radii", float), radii)),
+    },
     "holder": {
         "target": _one_of("holder target", "density", "weight"),
-        "point": lambda p: None if p is None else float(p),
-        "r_max": float,
-        "ratio": float,
+        "point": lambda p: None if p is None else _exact("holder point", float)(p),
+        **_numbers("holder", "r_max", "ratio"),
         "count": _exact("holder count", int),
     },
 }
@@ -471,6 +483,13 @@ _TOL_TARGET = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resolvent-limits",
@@ -484,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if name in _TOL_TARGET:
             p.add_argument(
-                "--tolerance", type=float, default=None, help="override the decision tolerance"
+                "--tolerance", type=_finite, default=None, help="override the decision tolerance"
             )
     return parser
 

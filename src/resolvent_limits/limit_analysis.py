@@ -12,12 +12,13 @@ geometric schedule and classifies the outcome:
   is trustworthy (residual < 0.05);
 * INCONCLUSIVE otherwise.
 
-Matrix-valued samples are compared in operator norm, computed from their
-factored form; their scalar shadow in reports is the trace, which for the
-identity embedding equals the discrete transform value.  The verdict order
-(divergence test first, tolerance-gated convergence second) guarantees that
-shrinking the tolerance can only demote CONVERGES to INCONCLUSIVE, never flip
-it to DIVERGES.
+Matrix-valued samples are compared in operator norm: ``max |d|`` of the
+diagonal for the identity embedding, the spectral norm of the difference of
+the two m x m products otherwise.  Their scalar shadow in reports is the
+trace, which for the identity embedding equals the discrete transform value.
+The verdict order (divergence test first, tolerance-gated convergence second)
+guarantees that shrinking the tolerance can only demote CONVERGES to
+INCONCLUSIVE, never flip it to DIVERGES.
 """
 
 from __future__ import annotations

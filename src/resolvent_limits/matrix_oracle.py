@@ -4,14 +4,14 @@ A model keeps the operator in its spectral representation: ``H`` is diagonal
 on real nodes, the rigging factor is ``F = J diag(w_i sqrt(mu_i))`` with ``J``
 an isometric-row embedding (``None`` for the identity, otherwise an m x n
 matrix with orthonormal rows; ``discretize`` draws a seeded one).  The node,
-mass, weight and flag arrays plus ``J`` are the whole model: the text form
-stores exactly these.  A sample ``T_z = F (H - z)^{-1} F*`` is
-stored in the same factored form, ``J diag(w_i^2 mu_i / (x_i - z)) J*``: the
-diagonal and the embedding, never a dense n x n array.  Norms, differences
-and traces come from the factors (``max |d|`` and ``sum d`` for the identity,
-the m x m product otherwise); the dense matrix is built only when a caller
-reads ``T``.  No linear solves: resolvent application on a diagonal model is
-exact arithmetic, which keeps rate fits clean.
+mass, weight and flag arrays plus ``J`` are the whole model.  A sample
+``T_z = F (H - z)^{-1} F*`` is ``J diag(w_i^2 mu_i / (x_i - z)) J*``, and no
+n x n array is ever formed for it.  For the identity the sample is the
+diagonal alone, and its norm, differences and trace are ``max |d|`` and
+``sum d``.  For an embedding the m x m product is formed once, when the
+sample is taken, and its norm, trace and distance to other samples are read
+from that one matrix.  No linear solves: resolvent application on a diagonal
+model is exact arithmetic, which keeps rate fits clean.
 
 Atom nodes carry the exact eigenvalue coordinate and mass and are marked by
 ``atom_flags``; matching is exact float equality, never a tolerance, because
@@ -22,7 +22,6 @@ eigenvalue); continuum nodes are strictly increasing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,6 @@ __all__ = [
     "regularized_resolvent",
     "quadratic_form",
     "resolution_floor",
-    "model_to_text",
-    "model_from_text",
 ]
 
 SAME = "same"
@@ -64,6 +61,9 @@ class MatrixModel:
         n = nodes.size
         if not (masses.size == weights.size == flags.size == n):
             raise ValueError("nodes, masses, weights, atom_flags must share length")
+        for name, arr in (("nodes", nodes), ("masses", masses), ("weights", weights)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(masses <= 0):
             raise ValueError("masses must be strictly positive")
         if np.any(weights < 0):
@@ -117,12 +117,9 @@ def _factored(J: np.ndarray | None, v: np.ndarray) -> np.ndarray:
     return (J * v) @ J.conj().T
 
 
-def _factored_norm(J: np.ndarray | None, v: np.ndarray) -> float:
-    """Operator norm of J diag(v) J*: max |v| for the identity, else the
-    spectral norm of the m x m product."""
-    if J is None:
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return operator_norm(_factored(J, v))
+def _max_abs(v: np.ndarray) -> float:
+    """Operator norm of diag(v)."""
+    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -130,32 +127,36 @@ class OperatorSample:
     """One evaluation of the sandwiched resolvent at a complex point.
 
     The sample is ``J diag(diag) J*`` with ``diag_i = w_i^2 mu_i / (x_i - z)``
-    (zero at excluded nodes) and ``J`` the model's embedding (``None`` for the
-    identity).  ``T`` builds the dense matrix on each read; ``norm``,
-    ``distance`` and ``trace`` never do for the identity.  ``on_axis`` marks
-    samples taken at real z strictly between nodes, which is permitted but
-    outside the Im z != 0 contract.
+    (zero at excluded nodes) and ``J`` the model's embedding.  ``product`` is
+    that m x m matrix, formed once when the sample is taken and read-only;
+    ``T``, ``trace`` and ``distance`` read it.  For the identity ``product``
+    is None: ``norm``, ``trace`` and ``distance`` are ``max |d|`` and
+    ``sum d`` of the diagonal, and ``T`` builds ``diag(diag)`` on each read.
+    ``on_axis`` marks samples taken at real z strictly between nodes, which
+    is permitted but outside the Im z != 0 contract.
     """
 
     z: complex
     diag: np.ndarray
-    embedding: np.ndarray | None
+    product: np.ndarray | None  # J diag(diag) J*; None is the identity
     norm: float
     on_axis: bool = False
 
     @property
     def T(self) -> np.ndarray:
-        return _factored(self.embedding, self.diag)
+        return np.diag(self.diag) if self.product is None else self.product
 
     @property
     def trace(self) -> complex:
-        if self.embedding is None:
+        if self.product is None:
             return complex(np.sum(self.diag))
-        return complex(np.trace(self.T))
+        return complex(np.trace(self.product))
 
     def distance(self, other: OperatorSample) -> float:
         """Operator norm of ``self.T - other.T`` for samples of one model."""
-        return _factored_norm(self.embedding, self.diag - other.diag)
+        if self.product is None:
+            return _max_abs(self.diag - other.diag)
+        return operator_norm(self.product - other.product)
 
 
 def _seeded_embedding(m: int, n: int, seed: int) -> np.ndarray:
@@ -250,9 +251,12 @@ def _resolvent_sample(model: MatrixModel, z: complex, exclude: np.ndarray | None
     diag = np.zeros(model.size, dtype=complex)
     d = model.rigging_diagonal()
     diag[keep] = d[keep] ** 2 / (model.nodes[keep] - z)
-    J = model.embedding
-    norm = _factored_norm(J, diag)
-    return OperatorSample(z=z, diag=diag, embedding=J, norm=norm, on_axis=on_axis)
+    diag.setflags(write=False)
+    if model.embedding is None:
+        return OperatorSample(z=z, diag=diag, product=None, norm=_max_abs(diag), on_axis=on_axis)
+    P = _factored(model.embedding, diag)
+    P.setflags(write=False)
+    return OperatorSample(z=z, diag=diag, product=P, norm=operator_norm(P), on_axis=on_axis)
 
 
 def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
@@ -284,7 +288,8 @@ def eigen_contribution(model: MatrixModel, lam: float) -> tuple:
     if not np.any(mask):
         raise NoAtomAtLambda(f"no flagged atom node at lam={lam!r}")
     v = np.where(mask, model.rigging_diagonal() ** 2, 0.0)
-    return _factored(model.embedding, v), _factored_norm(model.embedding, v)
+    E = _factored(model.embedding, v)
+    return E, _max_abs(v) if model.embedding is None else operator_norm(E)
 
 
 def regularized_resolvent(model: MatrixModel, z: complex, lam: float) -> OperatorSample:
@@ -340,35 +345,3 @@ def resolution_floor(model: MatrixModel, lam: float) -> float:
     if not local:
         local.append(gaps[-1] if idx > 0 else gaps[0])
     return float(10.0 * max(local))
-
-
-def model_to_text(model: MatrixModel) -> str:
-    """Serialize to structured text.  The embedding is stored entrywise:
-    ``null`` for the identity, else the rows of J as floats, a complex J with
-    each entry as a (real, imag) pair."""
-    J, emb = model.embedding, None
-    if J is not None:
-        dtype = complex if np.iscomplexobj(J) else float
-        emb = {"complex": dtype is complex, "rows": np.ascontiguousarray(J, dtype).view(float).tolist()}
-    d = {
-        "nodes": model.nodes.tolist(),
-        "masses": model.masses.tolist(),
-        "weights": model.weights.tolist(),
-        "atom_flags": [bool(v) for v in model.atom_flags],
-        "embedding": emb,
-    }
-    return json.dumps(d, indent=2, sort_keys=True)
-
-
-def model_from_text(text: str) -> MatrixModel:
-    d = json.loads(text)
-    emb, J = d["embedding"], None
-    if emb is not None:
-        J = np.asarray(emb["rows"], dtype=float).view(complex if emb["complex"] else float)
-    return MatrixModel(
-        nodes=np.asarray(d["nodes"], dtype=float),
-        masses=np.asarray(d["masses"], dtype=float),
-        weights=np.asarray(d["weights"], dtype=float),
-        atom_flags=np.asarray(d["atom_flags"], dtype=bool),
-        embedding=J,
-    )

@@ -128,6 +128,18 @@ def test_tolerance_is_a_usage_error_where_it_sets_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_tolerance_flag_must_be_finite(tmp_path, capsys, value):
+    # --tolerance nan used to run a probe and write "tolerance": NaN
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["probe-limit", "--config", str(cfg), "--out", str(out), f"--tolerance={value}"])
+    assert info.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_oracle_runs_and_skips(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -289,17 +301,41 @@ def test_embedding_dim_must_be_same_or_positive_integer(tmp_path, dim):
         ("n", {"discretization": {"n": "13"}}),
         ("seed", {"seed": 0.5}),
         ("holder count", {"holder": {"count": 10.0}}),
+        ("lambda", {"lambda": "0.3"}),
+        ("lambda", {"lambda": True}),
+        ("lambda", {"lambda": float("nan")}),
+        ("lambda", {"lambda": 10**400}),
+        ("schedule y_min", {"schedule": {"y_max": 0.1, "y_min": float("-inf"), "ratio": 0.5}}),
+        ("schedule ratio", {"schedule": {"y_max": 0.1, "y_min": 1e-5, "ratio": "0.5"}}),
+        ("tolerances convergence", {"tolerances": {"convergence": "1e-4"}}),
+        ("compactness s", {"compactness": {"s": False}}),
+        ("compactness radii", {"compactness": {"s": 1.0, "radii": [0.5, "1"]}}),
+        ("holder point", {"holder": {"point": float("nan")}}),
+        ("holder r_max", {"holder": {"r_max": float("inf")}}),
+        ("holder ratio", {"holder": {"ratio": None}}),
+        ("output_prefix", {"output_prefix": 5}),
     ],
-    ids=["regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float"],
+    ids=[
+        "regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float",
+        "lambda-string", "lambda-bool", "lambda-nan", "lambda-huge-int", "y_min-inf", "ratio-string",
+        "convergence-string", "s-bool", "radii-string", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
+    ],
 )
 def test_config_types_are_exact(tmp_path, key, overrides):
-    # a string "false" used to run a regularized probe, and 13.9 became n = 13
+    # a string "false" used to run a regularized probe, 13.9 became n = 13,
+    # "0.3" became lambda = 0.3, and lambda = NaN ran a probe on NaN
     cfg = write_config(tmp_path / "c.json", measure=ATOM_MEASURE, evaluator="matrix", **overrides)
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
     out = tmp_path / "out"
     assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_integer_numbers_read_as_floats(tmp_path):
+    cfg = load_config(write_config(tmp_path / "c.json", **{"lambda": 0}, holder={"point": 1, "r_max": 1}))
+    assert type(cfg.lam) is float and type(cfg.holder_point) is float and type(cfg.holder_r_max) is float
+    assert cfg.echo()["lambda"] == 0.0
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resolvent_limits.matrix_oracle as mo
 from resolvent_limits import (
     Atom,
     DensityFamily,
@@ -19,8 +20,6 @@ from resolvent_limits import (
     eigen_contribution,
     evaluate_offaxis,
     limit_probe,
-    model_from_text,
-    model_to_text,
     operator_norm,
     quadratic_form,
     regularized_resolvent,
@@ -275,6 +274,17 @@ def test_eigen_contribution_requires_flagged_node():
         eigen_contribution(model, 0.5)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"nodes": [0.0, np.nan, 1.0]}, {"masses": [1.0, 1.0, np.nan]}, {"weights": [1.0, np.inf, 1.0]}],
+    ids=["nodes", "masses", "weights"],
+)
+def test_non_finite_arrays_rejected(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _model(**{"nodes": [0.0, 0.5, 1.0], **bad})
+
+
 def test_unflagged_duplicate_nodes_rejected():
     with pytest.raises(ValueError):
         _model([0.0, 0.0], flags=[True, False])
@@ -382,30 +392,6 @@ def test_resolution_floor():
     assert resolution_floor(atoms_only, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("embedding", ["same", 7, "real", "complex"])
-def test_model_text_round_trip(embedding):
-    m = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.3, 0.5),))
-    if embedding in ("same", 7):
-        model = discretize(m, PLATEAU, 12, embedding, seed=4)
-    else:
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((12, 3))
-        if embedding == "complex":
-            g = g + 1j * rng.standard_normal((12, 3))
-        model = _model(np.arange(12.0), embedding=np.linalg.qr(g)[0].T.conj())
-    again = model_from_text(model_to_text(model))
-    assert np.array_equal(again.nodes, model.nodes)
-    assert np.array_equal(again.masses, model.masses)
-    assert np.array_equal(again.weights, model.weights)
-    assert np.array_equal(again.atom_flags, model.atom_flags)
-    assert np.array_equal(again.embedding, model.embedding)
-    if embedding == "same":
-        assert again.embedding is None
-    else:
-        assert again.embedding.dtype == (complex if embedding == "complex" else float)
-    assert again.embedding_kind == model.embedding_kind
-
-
 def test_passed_embedding_is_used_and_checked():
     # a 1 x 2 row embedding: samples are 1 x 1, not the n x n identity ones
     J = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
@@ -458,6 +444,37 @@ def test_seeded_samples_match_dense_references(n, data, seed, lam, log_y):
     E, _ = eigen_contribution(model, lam)
     scale = operator_norm(T) + operator_norm(Tr)
     assert np.max(np.abs(T - (Tr + E / (lam - z)))) <= 1e-12 * scale
+
+
+def test_embedded_probe_forms_one_product_per_rung(monkeypatch):
+    measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.1, 0.7),))
+    model = discretize(measure, PLATEAU, 40, 20, seed=3)
+    factored, calls = mo._factored, []
+
+    def counted(J, v):
+        calls.append(v.shape)
+        return factored(J, v)
+
+    monkeypatch.setattr(mo, "_factored", counted)
+    sched = YSchedule(y_max=1e-2, y_min=1e-2 * 0.5**9, ratio=0.5)
+    for ev in (lambda z: sandwiched_resolvent(model, z), lambda z: regularized_resolvent(model, z, 0.1)):
+        calls.clear()
+        report = limit_probe(ev, 0.1, sched)
+        assert len(report.samples) == 10
+        assert len(calls) == 10  # norm, trace and distance read the one product
+
+
+def test_embedded_sample_keeps_its_product_read_only():
+    model = discretize(FLAT, PLATEAU, 30, 12, seed=2)
+    s = sandwiched_resolvent(model, 0.2 + 1e-3j)
+    T = s.T
+    assert T is s.T and T.shape == (12, 12)
+    assert not T.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 0] = 0.0
+    J = model.embedding
+    assert np.array_equal(T, (J * s.diag) @ J.conj().T)
+    assert s.norm == operator_norm(T) and s.trace == complex(np.trace(T))
 
 
 def test_identity_samples_allocate_no_dense_matrix():
