@@ -19,8 +19,15 @@ the command's decision tolerance).
 
 The config file is JSON; the full schema with defaults is documented in the
 repository README.  Runs are deterministic: a fixed config produces
-byte-identical outputs.  All files are written to a temporary name and
-renamed into place, and nothing is written at all when a command fails, so
+byte-identical outputs.
+
+Each command is a function of the config alone.  It returns its summary
+line, its exit code and its outputs: a map from file suffix to a JSON
+document (a dict) or a CSV table (title, header, rows of formatted cells).
+``main`` alone names, renders, writes and prints them.  A file is named
+``<output_prefix>_<suffix>``; all of them are written in one call once the
+command has returned, each to a temporary name renamed into place, and the
+summary line is printed after that.  A failing command writes nothing, so
 exit 1 never leaves partial outputs behind.
 
 CSV conventions: one comment line naming the column layout version, then a
@@ -34,7 +41,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +67,14 @@ from .matrix_oracle import (
 )
 from .quadrature import DEFAULT_ABS_TOL
 from .spectral_model import (
+    HolderEstimate,
     SpectralMeasure,
     WeightFunction,
     estimate_holder,
     geometric_radii,
+    holder_increments,
+    read_number,
+    read_object,
 )
 
 __all__ = ["main", "ExperimentConfig", "load_config"]
@@ -108,20 +120,12 @@ class ExperimentConfig:
             "measure": self.measure.to_dict(),
             "weight": self.weight.to_dict(),
             "lambda": self.lam,
-            "schedule": {
-                "y_max": self.schedule.y_max,
-                "y_min": self.schedule.y_min,
-                "ratio": self.schedule.ratio,
-            },
+            "schedule": asdict(self.schedule),
             "evaluator": self.evaluator,
             "regularize": self.regularize,
             "discretization": {"n": self.n, "embedding_dim": self.embedding_dim},
             "seed": self.seed,
-            "tolerances": {
-                "quadrature_abs": self.tolerances.quadrature_abs,
-                "convergence": self.tolerances.convergence,
-                "oracle_rel_gap": self.tolerances.oracle_rel_gap,
-            },
+            "tolerances": asdict(self.tolerances),
         }
 
 
@@ -131,19 +135,17 @@ def _embedding_dim(value):
     raise ConfigError(f"embedding_dim must be {SAME!r} or a positive integer, got {value!r}")
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {bool: "true or false", int: "an integer", str: "a string"}
 
 
 def _exact(name: str, kind: type):
-    """Parser of a JSON boolean, integer, finite number or string (kind bool,
-    int, float or str) without coercion: "false" is not False, 13.9 is not
-    13, true is not 1, "0.3" is not 0.3, and NaN is not a number.  An integer
-    is a number and is read as a float."""
+    """Parser of a JSON boolean, integer or string (kind bool, int or str)
+    without coercion: "false" is not False, 13.9 is not 13 and true is not 1.
+    Numbers are read by ``read_number``: "0.3" is not 0.3, and NaN is not a
+    number."""
 
     def parse(value):
-        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-            value = float(value)
-        if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        if type(value) is not kind:
             raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
         return value
 
@@ -151,7 +153,7 @@ def _exact(name: str, kind: type):
 
 
 def _numbers(section: str, *keys: str) -> dict:
-    return {k: _exact(f"{section} {k}", float) for k in keys}
+    return {k: partial(read_number, f"{section} {k}") for k in keys}
 
 
 def _one_of(name: str, *allowed):
@@ -168,7 +170,7 @@ def _one_of(name: str, *allowed):
 # section's prefix plus the key); a key the config leaves out is not passed,
 # so every default is stated once, on its dataclass.
 _TOP = {
-    "lambda": _exact("lambda", float),
+    "lambda": partial(read_number, "lambda"),
     "evaluator": _one_of("evaluator", "transform", "matrix"),
     "regularize": _exact("regularize", bool),
     "seed": _exact("seed", int),
@@ -180,11 +182,11 @@ _SECTIONS = {
     "tolerances": _numbers("tolerances", "quadrature_abs", "convergence", "oracle_rel_gap"),
     "compactness": {
         **_numbers("compactness", "s"),
-        "radii": lambda radii: tuple(map(_exact("compactness radii", float), radii)),
+        "radii": lambda radii: tuple(read_number("compactness radii", r) for r in radii),
     },
     "holder": {
         "target": _one_of("holder target", "density", "weight"),
-        "point": lambda p: None if p is None else _exact("holder point", float)(p),
+        "point": lambda p: None if p is None else read_number("holder point", p),
         **_numbers("holder", "r_max", "ratio"),
         "count": _exact("holder count", int),
     },
@@ -195,13 +197,8 @@ _TOP_KEYS = {"measure", "weight", *_TOP, *_SECTIONS}
 
 def _section(raw: dict, key: str) -> dict:
     """Parsed values of the keys that one config section sets."""
-    sub = raw.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
     parsers = _SECTIONS[key]
-    unknown = set(sub) - set(parsers)
-    if unknown:
-        raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
+    sub = read_object(f"config section {key!r}", raw.get(key, {}), parsers)
     return {_PREFIX.get(key, "") + k: parsers[k](v) for k, v in sub.items()}
 
 
@@ -210,11 +207,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    read_object("config", raw, _TOP_KEYS)
     for required in ("measure", "weight"):
         if required not in raw:
             raise ConfigError(f"config is missing required section {required!r}")
@@ -238,7 +231,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _write_all(outdir: Path, files: dict) -> None:
-    """Write every artifact atomically; called only after a command succeeds."""
+    """Write every file (name -> text) atomically; called only after a command
+    has returned."""
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(files.items()):
         target = outdir / name
@@ -247,17 +241,15 @@ def _write_all(outdir: Path, files: dict) -> None:
         os.replace(tmp, target)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _render(output) -> str:
+    """Text of one output: a JSON document, or a CSV table (title, header, rows)."""
+    if isinstance(output, dict):
+        return json.dumps(output, indent=2, sort_keys=True) + "\n"
+    title, header, rows = output
+    return "\n".join([f"# {CSV_VERSION}: {title}", ",".join(header), *map(",".join, rows)]) + "\n"
 
 
-def _csv_text(title: str, header: list, rows: list) -> str:
-    lines = [f"# {CSV_VERSION}: {title}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def cmd_probe_limit(cfg: ExperimentConfig, outdir: Path) -> int:
+def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
     warnings = []
     if cfg.evaluator == "matrix":
         model = discretize(cfg.measure, cfg.weight, cfg.n, cfg.embedding_dim, seed=cfg.seed)
@@ -281,30 +273,41 @@ def cmd_probe_limit(cfg: ExperimentConfig, outdir: Path) -> int:
         )
 
     report = limit_probe(ev, cfg.lam, cfg.schedule, tolerance=cfg.tolerances.convergence)
-
-    sample_rows = [[_fmt(v) for v in row] for row in report.csv_rows()]
-    doc = report.to_dict()
-    doc.update(
+    est = report.limit_estimate
+    doc = {
+        "lambda": report.lam,
+        "verdict": report.verdict,
+        "fitted_rate": report.fitted_rate,
+        "rate_residual": report.rate_residual,
+        "limit_estimate": None if est is None else [est.real, est.imag],
+        "schedule": asdict(report.schedule),
+        "samples": [
+            {
+                "y": s.y,
+                "re": s.shadow.real,
+                "im": s.shadow.imag,
+                "norm": s.norm,
+                "diff": None if math.isnan(s.diff) else s.diff,
+                "tag": s.tag,
+            }
+            for s in report.samples
+        ],
+        "tolerance": cfg.tolerances.convergence,
+        "warnings": warnings,
+        "config": cfg.echo(),
+    }
+    rows = [[_fmt(v) for v in (s.y, s.shadow.real, s.shadow.imag, s.norm, s.diff)] for s in report.samples]
+    return (
+        f"probe-limit: verdict={report.verdict} fitted_rate={report.fitted_rate:.4f}",
+        0 if report.verdict in (CONVERGES, DIVERGES) else 2,
         {
-            "tolerance": cfg.tolerances.convergence,
-            "warnings": warnings,
-            "config": cfg.echo(),
-        }
-    )
-    _write_all(
-        outdir,
-        {
-            f"{cfg.output_prefix}_limit_report.json": _json_text(doc),
-            f"{cfg.output_prefix}_limit_curve.csv": _csv_text(
-                "probe-limit curve", ["y", "re", "im", "norm", "diff"], sample_rows
-            ),
+            "limit_report.json": doc,
+            "limit_curve.csv": ("probe-limit curve", ["y", "re", "im", "norm", "diff"], rows),
         },
     )
-    print(f"probe-limit: verdict={report.verdict} fitted_rate={report.fitted_rate:.4f}")
-    return 0 if report.verdict in (CONVERGES, DIVERGES) else 2
 
 
-def cmd_compare_oracle(cfg: ExperimentConfig, outdir: Path) -> int:
+def cmd_compare_oracle(cfg: ExperimentConfig) -> tuple:
     if cfg.embedding_dim != SAME:
         raise ConfigError("compare-oracle requires the identity embedding (embedding_dim='same')")
     model = discretize(cfg.measure, cfg.weight, cfg.n, SAME, seed=cfg.seed)
@@ -324,17 +327,8 @@ def cmd_compare_oracle(cfg: ExperimentConfig, outdir: Path) -> int:
         if not skipped:
             worst = max(worst, gap)
             checked += 1
-        rows.append(
-            [
-                _fmt(y),
-                _fmt(form.real),
-                _fmt(form.imag),
-                _fmt(tv.value.real),
-                _fmt(tv.value.imag),
-                _fmt(gap),
-                "SKIPPED" if skipped else "OK",
-            ]
-        )
+        values = (y, form.real, form.imag, tv.value.real, tv.value.imag, gap)
+        rows.append([*map(_fmt, values), "SKIPPED" if skipped else "OK"])
 
     ok = worst <= cfg.tolerances.oracle_rel_gap
     doc = {
@@ -346,47 +340,31 @@ def cmd_compare_oracle(cfg: ExperimentConfig, outdir: Path) -> int:
         "resolution_floor": floor,
         "config": cfg.echo(),
     }
-    _write_all(
-        outdir,
-        {
-            f"{cfg.output_prefix}_oracle_table.csv": _csv_text(
-                "compare-oracle table",
-                ["y", "form_re", "form_im", "transform_re", "transform_im", "rel_gap", "status"],
-                rows,
-            ),
-            f"{cfg.output_prefix}_oracle_summary.json": _json_text(doc),
-        },
+    header = ["y", "form_re", "form_im", "transform_re", "transform_im", "rel_gap", "status"]
+    return (
+        f"compare-oracle: worst_rel_gap={worst:.3e} checked={checked} passed={ok}",
+        0 if ok else 2,
+        {"oracle_table.csv": ("compare-oracle table", header, rows), "oracle_summary.json": doc},
     )
-    print(f"compare-oracle: worst_rel_gap={worst:.3e} checked={checked} passed={ok}")
-    return 0 if ok else 2
 
 
-def cmd_compactness(cfg: ExperimentConfig, outdir: Path) -> int:
+def cmd_compactness(cfg: ExperimentConfig) -> tuple:
     model = discretize(cfg.measure, cfg.weight, cfg.n, cfg.embedding_dim, seed=cfg.seed)
     report = compactness_probe(model, cfg.compactness_s, cfg.compactness_radii)
     sv_rows = [[str(i), _fmt(v)] for i, v in enumerate(report.singular_values)]
-    sb_rows = [
-        [_fmt(r), _fmt(b)] for r, b in zip(report.truncation_radii, report.sup_bounds)
-    ]
-    _write_all(
-        outdir,
+    sb_rows = [[_fmt(r), _fmt(b)] for r, b in zip(report.truncation_radii, report.sup_bounds)]
+    return (
+        f"compactness: s={report.s} sigma_max={report.singular_values[0]:.6e} "
+        f"final_sup={report.sup_bounds[-1]:.3e}",
+        0,
         {
-            f"{cfg.output_prefix}_singular_values.csv": _csv_text(
-                "compactness singular values", ["index", "sigma"], sv_rows
-            ),
-            f"{cfg.output_prefix}_sup_bounds.csv": _csv_text(
-                "compactness tail sups", ["radius", "sup_bound"], sb_rows
-            ),
+            "singular_values.csv": ("compactness singular values", ["index", "sigma"], sv_rows),
+            "sup_bounds.csv": ("compactness tail sups", ["radius", "sup_bound"], sb_rows),
         },
     )
-    print(
-        f"compactness: s={report.s} sigma_max={report.singular_values[0]:.6e} "
-        f"final_sup={report.sup_bounds[-1]:.3e}"
-    )
-    return 0
 
 
-def cmd_stone_density(cfg: ExperimentConfig, outdir: Path) -> int:
+def cmd_stone_density(cfg: ExperimentConfig) -> tuple:
     if any(a.location == cfg.lam for a in cfg.measure.atoms):
         raise ConfigError(f"stone-density probe point {cfg.lam} coincides with an atom")
     ev = lambda z: evaluate_offaxis(
@@ -405,66 +383,36 @@ def cmd_stone_density(cfg: ExperimentConfig, outdir: Path) -> int:
         "lambda": cfg.lam,
         "config": cfg.echo(),
     }
-    _write_all(
-        outdir,
+    return (
+        f"stone-density: extrapolated={result.extrapolated:.8f} reference={reference:.8f}",
+        0,
         {
-            f"{cfg.output_prefix}_stone_density.csv": _csv_text(
-                "stone-density curve", ["y", "im_transform", "density_estimate"], rows
-            ),
-            f"{cfg.output_prefix}_stone_summary.json": _json_text(doc),
+            "stone_density.csv": ("stone-density curve", ["y", "im_transform", "density_estimate"], rows),
+            "stone_summary.json": doc,
         },
     )
-    print(f"stone-density: extrapolated={result.extrapolated:.8f} reference={reference:.8f}")
-    return 0
 
 
-def cmd_holder_fit(cfg: ExperimentConfig, outdir: Path) -> int:
+def cmd_holder_fit(cfg: ExperimentConfig) -> tuple:
     point = cfg.lam if cfg.holder_point is None else cfg.holder_point
-    if cfg.holder_target == "density":
-        f = cfg.measure.density_at
-    else:
-        f = cfg.weight
+    f = cfg.measure.density_at if cfg.holder_target == "density" else cfg.weight
     radii = geometric_radii(cfg.holder_r_max, cfg.holder_ratio, cfg.holder_count)
-
-    f0 = float(f(point))
-    rows = [
-        [_fmt(r), _fmt(0.5 * (abs(float(f(point + r)) - f0) + abs(float(f(point - r)) - f0)))]
-        for r in radii
-    ]
+    rows = [[_fmt(r), _fmt(d)] for r, d in zip(radii, holder_increments(f, point, radii))]
+    doc = {"degenerate": False, "point": point, "target": cfg.holder_target}
     try:
-        est = estimate_holder(f, point, radii)
-        doc = {
-            "degenerate": False,
-            "alpha_hat": est.alpha_hat,
-            "constant_hat": est.constant_hat,
-            "fit_window": list(est.fit_window),
-            "residual": est.residual,
-            "point": point,
-            "target": cfg.holder_target,
-        }
+        doc.update(asdict(estimate_holder(f, point, radii)))
     except DegenerateSamples as exc:
-        doc = {
-            "degenerate": True,
-            "alpha_hat": None,
-            "constant_hat": None,
-            "fit_window": None,
-            "residual": None,
-            "point": point,
-            "target": cfg.holder_target,
-            "note": f"{exc}; locally constant data, treat exponent as 1",
-        }
-    _write_all(
-        outdir,
+        doc.update(dict.fromkeys(k.name for k in fields(HolderEstimate)), degenerate=True)
+        doc["note"] = f"{exc}; locally constant data, treat exponent as 1"
+    alpha = "degenerate" if doc["degenerate"] else doc["alpha_hat"]
+    return (
+        f"holder-fit: alpha_hat={alpha}",
+        0,
         {
-            f"{cfg.output_prefix}_holder_fit.json": _json_text(doc),
-            f"{cfg.output_prefix}_holder_increments.csv": _csv_text(
-                "holder-fit increments", ["radius", "mean_increment"], rows
-            ),
+            "holder_fit.json": doc,
+            "holder_increments.csv": ("holder-fit increments", ["radius", "mean_increment"], rows),
         },
     )
-    alpha = doc["alpha_hat"]
-    print(f"holder-fit: alpha_hat={alpha if alpha is not None else 'degenerate'}")
-    return 0
 
 
 _COMMANDS = {
@@ -516,7 +464,13 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if getattr(args, "tolerance", None) is not None:
             setattr(cfg.tolerances, _TOL_TARGET[args.command], args.tolerance)
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        summary, code, outputs = _COMMANDS[args.command](cfg)
+        _write_all(
+            Path(args.out),
+            {f"{cfg.output_prefix}_{suffix}": _render(out) for suffix, out in outputs.items()},
+        )
+        print(summary)
+        return code
     except (ResolventLimitsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -98,39 +98,6 @@ class LimitReport:
     limit_estimate: complex | None
     rate_residual: float
 
-    def to_dict(self) -> dict:
-        """Structured-text form (JSON-ready, deterministic key order)."""
-        est = self.limit_estimate
-        return {
-            "lambda": self.lam,
-            "verdict": self.verdict,
-            "fitted_rate": self.fitted_rate,
-            "rate_residual": self.rate_residual,
-            "limit_estimate": None if est is None else [est.real, est.imag],
-            "schedule": {
-                "y_max": self.schedule.y_max,
-                "y_min": self.schedule.y_min,
-                "ratio": self.schedule.ratio,
-            },
-            "samples": [
-                {
-                    "y": s.y,
-                    "re": s.shadow.real,
-                    "im": s.shadow.imag,
-                    "norm": s.norm,
-                    "diff": None if math.isnan(s.diff) else s.diff,
-                    "tag": s.tag,
-                }
-                for s in self.samples
-            ],
-        }
-
-    def csv_rows(self) -> list:
-        """One (y, re, im, norm, diff) float tuple per schedule point."""
-        return [
-            (s.y, s.shadow.real, s.shadow.imag, s.norm, s.diff) for s in self.samples
-        ]
-
 
 def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple:
     lx, ly = np.log(xs), np.log(ys)
@@ -150,6 +117,20 @@ def _unpack(sample) -> tuple:
     return v, abs(v), "scalar"
 
 
+def _ladder(evaluator: Callable[[complex], object], lam: float, schedule: YSchedule):
+    """Yield (y, raw sample, (shadow, norm, tag)) down the schedule.
+
+    Evaluator exceptions are re-raised as EvaluatorFailure carrying the
+    offending y.
+    """
+    for y in schedule.values:
+        try:
+            raw = evaluator(complex(lam, y))
+        except Exception as exc:
+            raise EvaluatorFailure(y, exc) from exc
+        yield y, raw, _unpack(raw)
+
+
 def limit_probe(
     evaluator: Callable[[complex], object],
     lam: float,
@@ -164,13 +145,7 @@ def limit_probe(
     """
     samples = []
     prev = None
-    for y in schedule.values:
-        z = complex(lam, y)
-        try:
-            raw = evaluator(z)
-        except Exception as exc:  # propagate with the offending y
-            raise EvaluatorFailure(y, exc) from exc
-        shadow, norm, tag = _unpack(raw)
+    for y, raw, (shadow, norm, tag) in _ladder(evaluator, lam, schedule):
         if prev is None:
             diff = float("nan")
         elif isinstance(raw, OperatorSample):
@@ -305,14 +280,7 @@ def stone_density(
     (smallest y), where the Holder error term is negligible.  For catalog
     data this recovers w(lam)^2 rho(lam).
     """
-    estimates = []
-    for y in schedule.values:
-        try:
-            raw = evaluator(complex(lam, y))
-        except Exception as exc:
-            raise EvaluatorFailure(y, exc) from exc
-        shadow, _, _ = _unpack(raw)
-        estimates.append(shadow.imag / math.pi)
+    estimates = [shadow.imag / math.pi for _, _, (shadow, _, _) in _ladder(evaluator, lam, schedule)]
     ys = np.array(schedule.values)
     vals = np.array(estimates)
     tail = max(4, ys.size // 2)

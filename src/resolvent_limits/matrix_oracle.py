@@ -132,15 +132,12 @@ class OperatorSample:
     ``T``, ``trace`` and ``distance`` read it.  For the identity ``product``
     is None: ``norm``, ``trace`` and ``distance`` are ``max |d|`` and
     ``sum d`` of the diagonal, and ``T`` builds ``diag(diag)`` on each read.
-    ``on_axis`` marks samples taken at real z strictly between nodes, which
-    is permitted but outside the Im z != 0 contract.
     """
 
     z: complex
     diag: np.ndarray
     product: np.ndarray | None  # J diag(diag) J*; None is the identity
     norm: float
-    on_axis: bool = False
 
     @property
     def T(self) -> np.ndarray:
@@ -243,27 +240,24 @@ def discretize(
 def _resolvent_sample(model: MatrixModel, z: complex, exclude: np.ndarray | None) -> OperatorSample:
     z = complex(z)
     keep = np.ones(model.size, dtype=bool) if exclude is None else ~exclude
-    on_axis = False
-    if z.imag == 0.0:
-        if np.any(model.nodes[keep] == z.real):
-            raise NonrealRequired(f"z={z} lies on a model node")
-        on_axis = True
+    if z.imag == 0.0 and np.any(model.nodes[keep] == z.real):
+        raise NonrealRequired(f"z={z} lies on a model node")
     diag = np.zeros(model.size, dtype=complex)
     d = model.rigging_diagonal()
     diag[keep] = d[keep] ** 2 / (model.nodes[keep] - z)
     diag.setflags(write=False)
     if model.embedding is None:
-        return OperatorSample(z=z, diag=diag, product=None, norm=_max_abs(diag), on_axis=on_axis)
+        return OperatorSample(z=z, diag=diag, product=None, norm=_max_abs(diag))
     P = _factored(model.embedding, diag)
     P.setflags(write=False)
-    return OperatorSample(z=z, diag=diag, product=P, norm=operator_norm(P), on_axis=on_axis)
+    return OperatorSample(z=z, diag=diag, product=P, norm=operator_norm(P))
 
 
 def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
     """T_z = F (H - z)^{-1} F*, assembled entrywise from the diagonal model.
 
-    Real z is rejected only when it hits a node exactly; between nodes the
-    sample is returned with ``on_axis=True``.
+    Real z is rejected only when it hits a node exactly; between nodes it is
+    permitted, though outside the Im z != 0 contract.
     """
     return _resolvent_sample(model, z, exclude=None)
 

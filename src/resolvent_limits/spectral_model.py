@@ -31,12 +31,13 @@ Weight catalog (``WeightFunction.kind``):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSamples
+from .errors import ConfigError, DegenerateSamples
 
 __all__ = [
     "DensityFamily",
@@ -46,6 +47,9 @@ __all__ = [
     "HolderEstimate",
     "estimate_holder",
     "geometric_radii",
+    "holder_increments",
+    "read_number",
+    "read_object",
 ]
 
 _DENSITY_PARAMS = {
@@ -61,6 +65,31 @@ _WEIGHT_PARAMS = {
     "power_hat": frozenset({"center", "half_width", "exponent"}),
     "plateau": frozenset({"center", "half_width"}),
 }
+
+
+def read_number(name: str, value) -> float:
+    """A JSON number read without coercion: an integer or a finite float, and
+    an integer is read as a float.  A bool, a string, NaN or an integer
+    beyond the float range raises ConfigError."""
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not float or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def read_object(name: str, value, keys=None) -> dict:
+    """A JSON object whose keys all lie in ``keys`` (any keys when None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(value if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    return value
+
+
+def _read_parameters(name: str, value) -> dict:
+    return {k: read_number(f"{name} {k}", v) for k, v in read_object(name, value).items()}
 
 
 def _check_params(kind: str, params: dict, table: dict) -> None:
@@ -90,6 +119,8 @@ class DensityFamily:
             raise ValueError(f"{self.kind} level must be nonnegative")
         if self.kind == "power_bump" and not 0.0 < p["exponent"] <= 1.0:
             raise ValueError("power_bump exponent must lie in (0, 1]")
+        if len(self.support) not in (0, 2):
+            raise ValueError(f"support must be an interval [lo, hi], got {self.support}")
         if self.kind == "smooth_bump":
             if p["half_width"] <= 0:
                 raise ValueError("smooth_bump half_width must be positive")
@@ -163,10 +194,11 @@ class DensityFamily:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DensityFamily":
+        d = read_object("measure ac_parts entry", d, ("kind", "parameters", "support"))
         return cls(
             kind=d["kind"],
-            parameters={k: float(v) for k, v in d["parameters"].items()},
-            support=tuple(float(v) for v in d.get("support", ())),
+            parameters=_read_parameters("measure parameters", d["parameters"]),
+            support=tuple(read_number("measure support", v) for v in d.get("support", ())),
         )
 
 
@@ -255,9 +287,14 @@ class SpectralMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectralMeasure":
+        d = read_object("measure", d, ("ac_parts", "atoms"))
+        atoms = [read_object("measure atom", a, ("location", "mass")) for a in d.get("atoms", [])]
         return cls(
             ac_parts=tuple(DensityFamily.from_dict(p) for p in d.get("ac_parts", [])),
-            atoms=tuple(Atom(float(a["location"]), float(a["mass"])) for a in d.get("atoms", [])),
+            atoms=tuple(
+                Atom(read_number("atom location", a["location"]), read_number("atom mass", a["mass"]))
+                for a in atoms
+            ),
         )
 
 
@@ -345,8 +382,9 @@ class WeightFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightFunction":
-        w = cls(kind=d["kind"], parameters={k: float(v) for k, v in d["parameters"].items()})
-        if "support" in d and tuple(d["support"]) != w.support:
+        d = read_object("weight", d, ("kind", "parameters", "support"))
+        w = cls(kind=d["kind"], parameters=_read_parameters("weight parameters", d["parameters"]))
+        if "support" in d and tuple(read_number("weight support", v) for v in d["support"]) != w.support:
             raise ValueError("serialized weight support does not match its parameters")
         return w
 
@@ -373,6 +411,13 @@ def geometric_radii(r_max: float = 0.125, ratio: float = 0.5, count: int = 10) -
     return tuple(r_max * ratio ** k for k in range(count))
 
 
+def holder_increments(f: Callable[[float], float], lam: float, radii: Sequence[float]) -> np.ndarray:
+    """Two-sided increment (|f(lam + r) - f(lam)| + |f(lam - r) - f(lam)|) / 2
+    for each radius r."""
+    f0 = float(f(lam))
+    return np.array([0.5 * (abs(float(f(lam + r)) - f0) + abs(float(f(lam - r)) - f0)) for r in radii])
+
+
 def estimate_holder(
     f: Callable[[float], float],
     lam: float,
@@ -380,9 +425,9 @@ def estimate_holder(
 ) -> HolderEstimate:
     """Fit a local Holder exponent of ``f`` at ``lam`` from two-sided samples.
 
-    Increments |f(lam + r) - f(lam)| and |f(lam - r) - f(lam)| are averaged
-    per radius; the slope of log-increment against log-radius is the exponent,
-    the exponentiated intercept the constant.
+    The increments are those of ``holder_increments``; the slope of
+    log-increment against log-radius is the exponent, the exponentiated
+    intercept the constant.
 
     Raises DegenerateSamples when more than half the radii produce zero
     increment (locally constant data; callers treat the exponent as 1).
@@ -393,10 +438,7 @@ def estimate_holder(
     if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be positive and strictly decreasing")
 
-    f0 = float(f(lam))
-    incs = np.array(
-        [0.5 * (abs(float(f(lam + r)) - f0) + abs(float(f(lam - r)) - f0)) for r in radii]
-    )
+    incs = holder_increments(f, lam, radii)
     zero = incs == 0.0
     if np.count_nonzero(zero) > len(radii) / 2:
         raise DegenerateSamples(

@@ -21,6 +21,17 @@ ATOM_MEASURE = {
 }
 
 
+def constant_part(level=1.0, support=(-1.0, 1.0), parameters=None):
+    return {"kind": "constant", "parameters": parameters or {"level": level}, "support": list(support)}
+
+
+SMOOTH_BUMP_THREE_EDGES = {
+    "kind": "smooth_bump",
+    "parameters": {"level": 1.0, "center": 0.0, "half_width": 1.0},
+    "support": [-0.5, 0.0, 0.5],
+}
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # the child processes import the same checkout as this process
 SRC = str(Path(resolvent_limits.__file__).resolve().parents[1])
@@ -314,17 +325,36 @@ def test_embedding_dim_must_be_same_or_positive_integer(tmp_path, dim):
         ("holder r_max", {"holder": {"r_max": float("inf")}}),
         ("holder ratio", {"holder": {"ratio": None}}),
         ("output_prefix", {"output_prefix": 5}),
+        ("level", {"measure": {"ac_parts": [constant_part(level="1.0")]}}),
+        ("level", {"measure": {"ac_parts": [constant_part(level=True)]}}),
+        ("support", {"measure": {"ac_parts": [constant_part(support=("-1", True))]}}),
+        ("half_width", {"weight": {"kind": "plateau", "parameters": {"center": 0.0, "half_width": "1"}}}),
+        ("support", {"weight": {**PLATEAU_WEIGHT, "support": [-1.0, True]}}),
+        ("location", {"measure": {"atoms": [{"location": "0.5", "mass": 1.0}]}}),
+        ("mass", {"measure": {"atoms": [{"location": 0.5, "mass": True}]}}),
+        ("measure", {"measure": 5}),
+        ("weight", {"weight": [PLATEAU_WEIGHT]}),
+        ("parameters", {"measure": {"ac_parts": [constant_part(parameters=[1])]}}),
+        ("atom", {"measure": {**FLAT_MEASURE, "atom": []}}),
+        ("suport", {"weight": {**PLATEAU_WEIGHT, "suport": [-1.0, 1.0]}}),
+        ("support", {"measure": {"ac_parts": [SMOOTH_BUMP_THREE_EDGES]}}),
     ],
     ids=[
         "regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float",
         "lambda-string", "lambda-bool", "lambda-nan", "lambda-huge-int", "y_min-inf", "ratio-string",
         "convergence-string", "s-bool", "radii-string", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
+        "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
+        "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
+        "weight-suport-typo", "support-three-edges",
     ],
 )
 def test_config_types_are_exact(tmp_path, key, overrides):
     # a string "false" used to run a regularized probe, 13.9 became n = 13,
-    # "0.3" became lambda = 0.3, and lambda = NaN ran a probe on NaN
-    cfg = write_config(tmp_path / "c.json", measure=ATOM_MEASURE, evaluator="matrix", **overrides)
+    # "0.3" became lambda = 0.3, and lambda = NaN ran a probe on NaN; a
+    # measure level "1.0" or true loaded as 1.0, "measure": 5 escaped as an
+    # AttributeError, a misspelt "atom" key was ignored, and a smooth_bump
+    # support of three edges loaded as its first two
+    cfg = write_config(tmp_path / "c.json", **{"measure": ATOM_MEASURE, "evaluator": "matrix", **overrides})
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
     out = tmp_path / "out"
@@ -333,15 +363,68 @@ def test_config_types_are_exact(tmp_path, key, overrides):
 
 
 def test_integer_numbers_read_as_floats(tmp_path):
-    cfg = load_config(write_config(tmp_path / "c.json", **{"lambda": 0}, holder={"point": 1, "r_max": 1}))
+    cfg = load_config(
+        write_config(
+            tmp_path / "c.json",
+            **{"lambda": 0},
+            holder={"point": 1, "r_max": 1},
+            measure={"ac_parts": [constant_part(level=1, support=(-1, 1))], "atoms": [{"location": 0, "mass": 2}]},
+            weight={"kind": "plateau", "parameters": {"center": 0, "half_width": 1}, "support": [-1, 1]},
+        )
+    )
     assert type(cfg.lam) is float and type(cfg.holder_point) is float and type(cfg.holder_r_max) is float
     assert cfg.echo()["lambda"] == 0.0
+    part, atom = cfg.measure.ac_parts[0], cfg.measure.atoms[0]
+    numbers = [*part.parameters.values(), *part.support, atom.location, atom.mass, *cfg.weight.parameters.values()]
+    assert all(type(v) is float for v in numbers)
+
+
+# The README output table: per command, each file suffix with its CSV title
+# and header row, or None for a JSON report.
+OUTPUTS = {
+    "probe-limit": {
+        "limit_report.json": None,
+        "limit_curve.csv": ("probe-limit curve", "y,re,im,norm,diff"),
+    },
+    "compare-oracle": {
+        "oracle_summary.json": None,
+        "oracle_table.csv": ("compare-oracle table", "y,form_re,form_im,transform_re,transform_im,rel_gap,status"),
+    },
+    "compactness": {
+        "singular_values.csv": ("compactness singular values", "index,sigma"),
+        "sup_bounds.csv": ("compactness tail sups", "radius,sup_bound"),
+    },
+    "stone-density": {
+        "stone_summary.json": None,
+        "stone_density.csv": ("stone-density curve", "y,im_transform,density_estimate"),
+    },
+    "holder-fit": {
+        "holder_fit.json": None,
+        "holder_increments.csv": ("holder-fit increments", "radius,mean_increment"),
+    },
+}
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
-def test_shipped_config_runs(tmp_path, config):
+def test_shipped_config_runs(tmp_path, capsys, config):
     command = "probe-limit" if config.startswith("probe_limit") else config[: -len(".json")].replace("_", "-")
-    assert main([command, "--config", str(ROOT / "configs" / config), "--out", str(tmp_path)]) == 0
+    path = ROOT / "configs" / config
+    prefix = json.loads(path.read_text()).get("output_prefix", "run")
+    runs = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert set(runs[0]) == {f"{prefix}_{suffix}" for suffix in OUTPUTS[command]}
+    assert runs[0] == runs[1]  # byte-identical reruns
+    for suffix, table in OUTPUTS[command].items():
+        text = runs[0][f"{prefix}_{suffix}"].decode()
+        if table is None:
+            assert isinstance(json.loads(text), dict)
+        else:
+            title, header = table
+            assert text.split("\n")[:2] == [f"# resolvent-limits csv v1: {title}", header]
+    summaries = capsys.readouterr().out.splitlines()  # one summary line per run
+    assert len(summaries) == 2 and summaries[0] == summaries[1] and summaries[0].startswith(f"{command}: ")
 
 
 def test_holder_rates_script_runs(tmp_path):
