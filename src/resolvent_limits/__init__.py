@@ -27,6 +27,7 @@ from .spectral_model import (
     WeightFunction,
     estimate_holder,
     geometric_radii,
+    holder_increments,
 )
 from .cauchy_transform import (
     SplitMeasure,

@@ -26,7 +26,10 @@ one grading step above the width at which the quadrature freezes a panel there.
 The seed grid then usually meets the target in one integrand call, at every y
 and at y = 0+.  At Im z = 0+ the logs take the branch below the axis,
 which yields the principal value plus the Plemelj jump ``i pi w(lam)^2
-rho(lam)`` directly, valid when density and weight are Holder at ``lam``.
+rho(lam)`` directly, valid when w^2 rho is Holder at ``lam``.  Catalog
+families are continuous on their closed supports, and every support edge and
+the cut at Re z are piece edges, so a nonzero jump of the one-sided values c
+at Re z is exactly a jump of w^2 rho there; at y = 0+ it raises NotHolder.
 
 Near/far splitting truncates densities at ``lam +- eps`` and routes atoms by
 the open interval ``(lam - eps, lam + eps)``; the far part obeys the a priori
@@ -182,15 +185,14 @@ def plemelj_boundary(
     """Boundary value C(lam + i0): principal value plus the jump term
     ``i pi w(lam)^2 rho(lam)``, from the kernel of ``evaluate_offaxis`` at y = 0+.
 
-    An atom at ``lam`` raises AtomAtProbe; data the catalog does not certify
-    Holder at ``lam`` raises NotHolder.
+    An atom at ``lam`` raises AtomAtProbe.  Whether the limit exists is a
+    question about w^2 rho at ``lam``, not about w or rho alone: the kernel
+    raises NotHolder when w^2 rho jumps there, and nowhere else.
     """
     lam = float(lam)
     for atom in measure.atoms:
         if atom.location == lam:
             raise AtomAtProbe(f"atom at {atom.location} coincides with probe point")
-    if measure.holder_exponent_at(lam) is None or weight.holder_exponent_at(lam) is None:
-        raise NotHolder(f"catalog reports non-Holder data at lam={lam}")
     return complex(_transform(measure, weight, complex(lam, 0.0), abs_tol).value)
 
 
@@ -201,7 +203,8 @@ def principal_value(
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> float:
     """Principal value at ``lam``: the real part of ``plemelj_boundary``,
-    under the same AtomAtProbe and NotHolder guards."""
+    which raises AtomAtProbe for an atom at ``lam`` and NotHolder when
+    w^2 rho jumps there."""
     return plemelj_boundary(measure, weight, lam, abs_tol=abs_tol).real
 
 

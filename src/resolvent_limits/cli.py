@@ -397,10 +397,11 @@ def cmd_holder_fit(cfg: ExperimentConfig) -> tuple:
     point = cfg.lam if cfg.holder_point is None else cfg.holder_point
     f = cfg.measure.density_at if cfg.holder_target == "density" else cfg.weight
     radii = geometric_radii(cfg.holder_r_max, cfg.holder_ratio, cfg.holder_count)
-    rows = [[_fmt(r), _fmt(d)] for r, d in zip(radii, holder_increments(f, point, radii))]
+    incs = holder_increments(f, point, radii)
+    rows = [[_fmt(r), _fmt(d)] for r, d in zip(radii, incs)]
     doc = {"degenerate": False, "point": point, "target": cfg.holder_target}
     try:
-        doc.update(asdict(estimate_holder(f, point, radii)))
+        doc.update(asdict(estimate_holder(point, radii, incs)))
     except DegenerateSamples as exc:
         doc.update(dict.fromkeys(k.name for k in fields(HolderEstimate)), degenerate=True)
         doc["note"] = f"{exc}; locally constant data, treat exponent as 1"

@@ -20,7 +20,7 @@ class AtomAtProbe(ResolventLimitsError):
 
 
 class NotHolder(ResolventLimitsError):
-    """Raised when data is not certified Holder-regular at the probe point."""
+    """Raised when w^2 rho jumps at the probe point of a boundary value."""
 
 
 class TooFewNodes(ResolventLimitsError):

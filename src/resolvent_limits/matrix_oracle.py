@@ -98,10 +98,6 @@ class MatrixModel:
         """"identity" when ``embedding`` is None, else "embedded"."""
         return "identity" if self.embedding is None else "embedded"
 
-    @property
-    def target_dim(self) -> int:
-        return self.size if self.embedding is None else int(self.embedding.shape[0])
-
     def rigging_diagonal(self) -> np.ndarray:
         """Diagonal factors w_i * sqrt(mu_i) of the rigging matrix."""
         return self.weights * np.sqrt(self.masses)
@@ -331,11 +327,4 @@ def resolution_floor(model: MatrixModel, lam: float) -> float:
         return 0.0
     gaps = np.diff(cont)
     idx = int(np.searchsorted(cont, lam))
-    local = []
-    if 1 <= idx <= gaps.size:
-        local.append(gaps[idx - 1])
-    if idx < gaps.size:
-        local.append(gaps[idx])
-    if not local:
-        local.append(gaps[-1] if idx > 0 else gaps[0])
-    return float(10.0 * max(local))
+    return float(10.0 * gaps[np.clip([idx - 1, idx], 0, gaps.size - 1)].max())

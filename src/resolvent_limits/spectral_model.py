@@ -1,10 +1,11 @@
-"""Parametric spectral measures and weight functions with known regularity.
+"""Parametric spectral measures and weight functions.
 
 Densities and weights come from a closed catalog of families instead of
-arbitrary callables.  That keeps configurations serializable, makes the local
-Holder exponent at any point known ground truth, and lets the quadrature layer
-place panel breakpoints at the exact kink/cusp locations of each family and
-grade its panels toward the cusps (``cusps()``).
+arbitrary callables.  That keeps configurations serializable and lets the
+quadrature layer place panel breakpoints at the exact kink/cusp locations of
+each family and grade its panels toward the cusps (``cusps()``).  Every family
+is continuous on its closed support, so w^2 rho can jump only at a support
+edge; whether it does at a probe point is the transform kernel's question.
 
 Density catalog (``DensityFamily.kind``):
 
@@ -176,15 +177,6 @@ class DensityFamily:
         p = self.parameters
         return (p["center"],) if self.kind == "power_bump" and p["exponent"] < 1.0 else ()
 
-    def holder_exponent_at(self, x: float) -> float | None:
-        """Known local Holder exponent at ``x``, or None when discontinuous."""
-        lo, hi = self.support
-        if x < lo or x > hi:
-            return 1.0
-        if (x == lo or x == hi) and float(self.values(np.asarray([x]))[0]) != 0.0:
-            return None
-        return self.parameters["exponent"] if x in self.cusps() else 1.0
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -250,24 +242,6 @@ class SpectralMeasure:
     def cusps(self) -> tuple:
         """Cusps of the parts: where a part's Holder exponent is below 1."""
         return tuple(c for part in self.ac_parts for c in part.cusps())
-
-    def holder_exponent_at(self, lam: float) -> float | None:
-        """Catalog Holder exponent of the total density at ``lam``.
-
-        Returns None when the density is discontinuous at ``lam`` or an atom
-        sits exactly there.
-        """
-        if any(a.location == lam for a in self.atoms):
-            return None
-        exponents = []
-        for part in self.ac_parts:
-            lo, hi = part.support
-            if lo <= lam <= hi:
-                e = part.holder_exponent_at(lam)
-                if e is None:
-                    return None
-                exponents.append(e)
-        return min(exponents) if exponents else 1.0
 
     def restricted(self, lo: float, hi: float) -> "SpectralMeasure":
         """Densities truncated to [lo, hi]; atoms are NOT filtered here."""
@@ -353,26 +327,6 @@ class WeightFunction:
         p = self.parameters
         return (p["center"],) if self.kind == "power_hat" and p["exponent"] < 1.0 else ()
 
-    def holder_data(self) -> tuple:
-        """Global (constant, exponent) valid for pairs inside the support."""
-        h = self.parameters["half_width"]
-        if self.kind == "hat":
-            return (1.0 / h, 1.0)
-        if self.kind == "cosine_bump":
-            return (0.5 * np.pi / h, 1.0)
-        if self.kind == "power_hat":
-            beta = self.parameters["exponent"]
-            return (h ** (-beta), beta)
-        return (1.0, 1.0)  # plateau is constant on its support
-
-    def holder_exponent_at(self, x: float) -> float | None:
-        lo, hi = self.support
-        if x < lo or x > hi:
-            return 1.0
-        if self.kind == "plateau" and (x == lo or x == hi):
-            return None
-        return self.parameters["exponent"] if x in self.cusps() else 1.0
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -418,16 +372,12 @@ def holder_increments(f: Callable[[float], float], lam: float, radii: Sequence[f
     return np.array([0.5 * (abs(float(f(lam + r)) - f0) + abs(float(f(lam - r)) - f0)) for r in radii])
 
 
-def estimate_holder(
-    f: Callable[[float], float],
-    lam: float,
-    radii: Sequence[float],
-) -> HolderEstimate:
-    """Fit a local Holder exponent of ``f`` at ``lam`` from two-sided samples.
+def estimate_holder(lam: float, radii: Sequence[float], increments: Sequence[float]) -> HolderEstimate:
+    """Fit a local Holder exponent at ``lam`` from the two-sided increments
+    that ``holder_increments`` gives at ``radii``.
 
-    The increments are those of ``holder_increments``; the slope of
-    log-increment against log-radius is the exponent, the exponentiated
-    intercept the constant.
+    The slope of log-increment against log-radius is the exponent, the
+    exponentiated intercept the constant.
 
     Raises DegenerateSamples when more than half the radii produce zero
     increment (locally constant data; callers treat the exponent as 1).
@@ -438,7 +388,9 @@ def estimate_holder(
     if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be positive and strictly decreasing")
 
-    incs = holder_increments(f, lam, radii)
+    incs = np.asarray(increments, dtype=float)
+    if incs.shape != (len(radii),):
+        raise ValueError(f"need one increment per radius, got {incs.shape} for {len(radii)} radii")
     zero = incs == 0.0
     if np.count_nonzero(zero) > len(radii) / 2:
         raise DegenerateSamples(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import resolvent_limits.cauchy_transform as ct
@@ -262,6 +262,52 @@ def test_principal_value_guards():
         principal_value(m, PLATEAU, 0.5)
     with pytest.raises(NotHolder):
         principal_value(FLAT, PLATEAU, 1.0)  # density jump at the support edge
+
+
+def test_plemelj_where_two_equal_constant_pieces_meet():
+    # each piece ends at lam, but w^2 rho is the constant 1 across it
+    halves = tuple(DensityFamily("constant", {"level": 1.0}, s) for s in ((-1.0, 0.0), (0.0, 1.0)))
+    assert plemelj_boundary(SpectralMeasure(ac_parts=halves), PLATEAU, 0.0) == 1j * math.pi
+
+
+def test_plemelj_at_a_density_edge_where_the_weight_vanishes():
+    # w(x) = x on [0, 1], so w^2 rho = x^2 there and C(0 + i0) = integral of x = 1/2
+    hat = WeightFunction("hat", {"center": 1.0, "half_width": 1.0})
+    unit = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 1.0}, (0.0, 1.0)),))
+    assert plemelj_boundary(unit, hat, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+@st.composite
+def half_densities(draw, side):
+    """A catalog piece with a support edge at 0 on the ``side`` (-1 or 1) of
+    it, and its value at 0, one of a few exact numbers."""
+    level = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    support = tuple(sorted((0.0, side * draw(st.floats(0.25, 1.0)))))
+    h = draw(st.floats(0.25, 1.0))
+    return draw(
+        st.sampled_from(
+            [
+                (DensityFamily("constant", {"level": level}, support), level),
+                # the slope points away from 0, so the piece stays nonnegative
+                (DensityFamily("affine", {"level": level, "slope": side * h, "center": 0.0}, support), level),
+                (DensityFamily("power_bump", {"level": level, "exponent": h, "center": 0.0}, support), 0.0),
+                (DensityFamily("smooth_bump", {"level": level, "center": 0.0, "half_width": h}, support), level),
+                (DensityFamily("smooth_bump", {"level": level, "center": side * h, "half_width": h}, support), 0.0),
+            ]
+        )
+    )
+
+
+@given(half_densities(-1), half_densities(1), weight_functions())
+def test_plemelj_raises_exactly_when_w2_rho_jumps(left, right, weight):
+    (below_part, below), (above_part, above) = left, right
+    assume(not (weight.kind == "plateau" and 0.0 in weight.support))  # w itself jumps at 0
+    measure = SpectralMeasure(ac_parts=(below_part, above_part))
+    if weight(0.0) ** 2 * (below - above) != 0.0:
+        with pytest.raises(NotHolder):
+            plemelj_boundary(measure, weight, 0.0)
+    else:
+        assert cmath.isfinite(plemelj_boundary(measure, weight, 0.0))
 
 
 def test_plemelj_flat_at_zero():

@@ -233,6 +233,21 @@ def test_holder_fit_density_and_degenerate_weight(tmp_path):
     assert doc2["degenerate"] is True  # plateau weight is locally constant
 
 
+def test_holder_fit_evaluates_each_point_once(tmp_path, monkeypatch):
+    # the table and the fit share one set of increments: f(lam) and f(lam +- r)
+    calls = []
+    density_at = resolvent_limits.SpectralMeasure.density_at
+
+    def counted(measure, x):
+        calls.append(x)
+        return density_at(measure, x)
+
+    monkeypatch.setattr(resolvent_limits.SpectralMeasure, "density_at", counted)
+    config = ROOT / "configs" / "holder_fit.json"
+    assert main(["holder-fit", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2 * json.loads(config.read_text())["holder"]["count"] + 1 == 21
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",

@@ -177,7 +177,7 @@ def test_array_node_build_matches_loop_and_invariants(case):
 @pytest.mark.parametrize("m", [0, -1, 14])
 def test_embedding_dim_outside_node_count_rejected(m):
     measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.0, 1.0),))
-    assert discretize(measure, PLATEAU, 13, 13).target_dim == 13
+    assert discretize(measure, PLATEAU, 13, 13).embedding.shape[0] == 13
     with pytest.raises(ValueError, match="embedding_dim"):
         discretize(measure, PLATEAU, 13, m)
 
@@ -390,12 +390,35 @@ def test_resolution_floor():
     assert resolution_floor(atoms_only, 0.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "lam,gap",
+    [
+        (-1.0, 0.5),  # below the first node: the first gap
+        (0.0, 0.5),
+        (0.25, 0.5),  # on the atom, which is not a continuum node
+        (0.5, 0.5),  # on a node: the larger of the gaps on either side
+        (0.5625, 0.375),  # between nodes: the larger of lam's gap and the next
+        (0.625, 0.375),
+        (0.75, 0.375),
+        (1.0, 0.375),
+        (1.0625, 0.125),  # in the last gap
+        (1.125, 0.125),
+        (2.0, 0.125),  # above the last node: the last gap
+    ],
+)
+def test_resolution_floor_reads_the_gaps_beside_lam(lam, gap):
+    # continuum nodes 0, 0.5, 0.625, 1, 1.125 (gaps 0.5, 0.125, 0.375, 0.125)
+    nodes = [0.0, 0.25, 0.5, 0.625, 1.0, 1.125]
+    model = _model(nodes, flags=[node == 0.25 for node in nodes])
+    assert resolution_floor(model, lam) == 10.0 * gap
+
+
 def test_passed_embedding_is_used_and_checked():
     # a 1 x 2 row embedding: samples are 1 x 1, not the n x n identity ones
     J = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
     model = _model([0.0, 0.5], weights=[0.8, 1.0], flags=[True, False], embedding=J)
     assert model.embedding_kind == "embedded"
-    assert model.target_dim == 1
+    assert model.embedding.shape[0] == 1
     z = complex(0.0, 1e-3)
     T = sandwiched_resolvent(model, z).T
     Tr = regularized_resolvent(model, z, 0.0).T

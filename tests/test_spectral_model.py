@@ -14,11 +14,17 @@ from resolvent_limits import (
     WeightFunction,
     estimate_holder,
     geometric_radii,
+    holder_increments,
+    plemelj_boundary,
 )
 
 from conftest import density_families, spectral_measures, weight_functions
 
 RADII = geometric_radii(2.0 ** -3, 0.5, 10)  # 2^-3 .. 2^-12
+
+
+def fit(f, lam, radii=RADII):
+    return estimate_holder(lam, radii, holder_increments(f, lam, radii))
 
 
 def test_constant_density_inside_and_outside():
@@ -53,27 +59,29 @@ def test_cosine_bump_closed_form_point():
 
 
 def test_estimate_holder_sqrt_cusp():
-    est = estimate_holder(lambda x: abs(x) ** 0.5, 0.0, RADII)
+    est = fit(lambda x: abs(x) ** 0.5, 0.0)
     assert 0.45 <= est.alpha_hat <= 0.55
     assert est.constant_hat > 0
     assert est.residual < 0.05
 
 
 def test_estimate_holder_linear():
-    est = estimate_holder(lambda x: x, 0.0, RADII)
+    est = fit(lambda x: x, 0.0)
     assert 0.95 <= est.alpha_hat <= 1.05
 
 
 def test_estimate_holder_constant_degenerates():
     with pytest.raises(DegenerateSamples):
-        estimate_holder(lambda x: 3.25, 0.0, RADII)
+        fit(lambda x: 3.25, 0.0)
 
 
 def test_estimate_holder_rejects_bad_radii():
     with pytest.raises(ValueError):
-        estimate_holder(lambda x: x, 0.0, [0.1, 0.2, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
+        fit(lambda x: x, 0.0, [0.1, 0.2, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001])
     with pytest.raises(ValueError):
-        estimate_holder(lambda x: x, 0.0, [0.1, 0.05])
+        fit(lambda x: x, 0.0, [0.1, 0.05])
+    with pytest.raises(ValueError, match="one increment per radius"):
+        estimate_holder(0.0, RADII, holder_increments(lambda x: x, 0.0, RADII[:-1]))
 
 
 # families paired with a point where the declared exponent is attained
@@ -97,7 +105,7 @@ def test_catalog_exponent_recovered(family, point, alpha):
         f = lambda x: float(family.values(np.asarray([x]))[0])
     else:
         f = family
-    est = estimate_holder(f, point, RADII)
+    est = fit(f, point)
     assert abs(est.alpha_hat - alpha) <= 0.1
 
 
@@ -131,12 +139,21 @@ def test_continuous_weights_vanish_at_endpoints(kind):
     assert w(hi) == 0.0
 
 
+# global (constant, exponent) of each weight kind for pairs inside its support
+WEIGHT_HOLDER = {
+    "hat": lambda p: (1.0 / p["half_width"], 1.0),
+    "cosine_bump": lambda p: (0.5 * np.pi / p["half_width"], 1.0),
+    "power_hat": lambda p: (p["half_width"] ** -p["exponent"], p["exponent"]),
+    "plateau": lambda p: (1.0, 1.0),  # constant on its support
+}
+
+
 @given(weight_functions(), st.data())
 def test_weight_holder_pair_bound(weight, data):
     lo, hi = weight.support
     x = data.draw(st.floats(lo, hi))
     x2 = data.draw(st.floats(lo, hi))
-    c, alpha = weight.holder_data()
+    c, alpha = WEIGHT_HOLDER[weight.kind](weight.parameters)
     assert abs(weight(x) - weight(x2)) <= (
         c * abs(x - x2) ** alpha + 1e-12
     )
@@ -170,22 +187,10 @@ def test_validation_errors():
         SpectralMeasure(atoms=(Atom(0.0, 1.0), Atom(0.0, 2.0)))
 
 
-def test_holder_exponent_catalog_metadata():
-    bump = DensityFamily("power_bump", {"level": 1.0, "exponent": 0.5, "center": 0.0}, (-1, 1))
-    m = SpectralMeasure(ac_parts=(bump,))
-    assert m.holder_exponent_at(0.0) == 0.5
-    assert m.holder_exponent_at(0.3) == 1.0
-    assert m.holder_exponent_at(1.0) is None  # jump at the support edge
-    const = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 1.0}, (-1, 1)),))
-    assert const.holder_exponent_at(0.0) == 1.0
-    assert const.holder_exponent_at(-1.0) is None
-    atomic = SpectralMeasure(atoms=(Atom(0.5, 1.0),))
-    assert atomic.holder_exponent_at(0.5) is None
-    assert atomic.holder_exponent_at(0.0) == 1.0
-
-
 def test_smooth_bump_vanishes_smoothly_at_edges():
     f = DensityFamily("smooth_bump", {"level": 1.0, "center": 0.0, "half_width": 1.0})
     assert f(1.0) == 0.0
     assert f(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert f.holder_exponent_at(1.0) == 1.0
+    # w^2 rho is continuous at the edge, so the boundary value exists there
+    wide = WeightFunction("plateau", {"center": 0.0, "half_width": 2.0})
+    plemelj_boundary(SpectralMeasure(ac_parts=(f,)), wide, 1.0)
