@@ -28,8 +28,23 @@ and at y = 0+.  At Im z = 0+ the logs take the branch below the axis,
 which yields the principal value plus the Plemelj jump ``i pi w(lam)^2
 rho(lam)`` directly, valid when w^2 rho is Holder at ``lam``.  Catalog
 families are continuous on their closed supports, and every support edge and
-the cut at Re z are piece edges, so a nonzero jump of the one-sided values c
-at Re z is exactly a jump of w^2 rho there; at y = 0+ it raises NotHolder.
+the cut at Re z are piece edges, so a jump of the one-sided values c at Re z
+is exactly a jump of w^2 rho there; at y = 0+ it raises NotHolder.  A step
+within rounding of c's size (``FREEZE`` relative) is no jump: data continuous
+in exact arithmetic, rounded differently on the two sides, has one.
+
+A y-ladder at one lam calls the kernel again and again with the same data and
+Re z, and everything but the y-dependent terms depends on those alone: the
+piece edges, c, the rises of c at the edges, the atoms' m w(loc)^2 and the
+seeds graded into the cusps.  They form a plan, and the last plan is kept in
+one slot, reused while (measure, weight, Re z) compares equal; measures and
+weights are frozen, their parameters included, so equal keys mean equal data.
+The plan also keeps phi - c on the last seed grid integrated.  Seeds toward
+the pole are the only ones that move with y, so a rung whose seed grid equals
+the last one (every rung whose pole grading stops above a cusp's) reuses
+those values and makes no catalog call.  Each shared number is the one the
+same operations give at the first rung, so a shared plan changes no result,
+bit for bit.
 
 Near/far splitting truncates densities at ``lam +- eps`` and routes atoms by
 the open interval ``(lam - eps, lam + eps)``; the far part obeys the a priori
@@ -39,6 +54,7 @@ bound ``|C_far| <= (integral of w^2 d mu_far) / eps``.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,60 +119,116 @@ def _piece_edges(measure: SpectralMeasure, weight: WeightFunction, cuts: tuple =
     return sorted({a, b}.union(p for p in points if a < p < b))
 
 
-def _inner_value(measure: SpectralMeasure, weight: WeightFunction, p: float, lo: float, hi: float) -> float:
-    """w^2 rho at an edge p of the piece [lo, hi], as the limit from inside it.
+def _graded(e: float, side: float, step: float, stop: float) -> tuple:
+    """Seeds ``e + side * step`` while ``step`` exceeds ``stop``, each step
+    GRADING times the last, and the first step that does not."""
+    seeds = []
+    while stop < step:
+        seeds.append(e + side * step)
+        step *= GRADING
+    return seeds, step
 
-    Every catalog family is continuous on its closed support, so summing the
-    parts that cover the piece gives the one-sided value at a density jump.
-    """
-    rho = sum(part(p) for part in measure.ac_parts if part.support[0] <= lo and hi <= part.support[1])
-    return weight(p) ** 2 * rho
+
+class _Plan:
+    """What C(z) needs from the data and Re z alone, shared by a ladder's
+    rungs: the piece edges and their one-sided values c, the nonzero rises of
+    c at the edges, the atoms' m w(loc)^2, the seeds graded into the cusps,
+    and phi - c on the last seed grid integrated."""
+
+    def __init__(self, measure: SpectralMeasure, weight: WeightFunction, x0: float):
+        self.key = (measure, weight, x0)
+        locations = [a.location for a in measure.atoms]
+        w = weight.values(locations).tolist() if locations else []
+        self.atoms = [(a.location, a.mass * wa ** 2) for a, wa in zip(measure.atoms, w)]
+        self.edges = edges = _piece_edges(measure, weight, cuts=(x0,))
+        self.grid = None  # (nodes, phi - c there) of the last seed grid: one attribute, read once
+        if not edges:
+            return
+        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        near = np.clip(x0, lo, hi)
+        rho = np.zeros(near.size)
+        for part in measure.ac_parts:
+            # the parts covering a piece give its inner value at an edge: each
+            # catalog family is continuous on its closed support
+            rho += np.where((part.support[0] <= lo) & (hi <= part.support[1]), part.values(near), 0.0)
+        self.cs = np.array([wp ** 2 * r for wp, r in zip(weight.values(near).tolist(), rho.tolist())])
+        below, above = np.append(0.0, self.cs), np.append(self.cs, 0.0)  # c on each side of each edge
+        self.jumps = [(e, a - b) for e, b, a in zip(edges, below, above) if a != b]
+        # at Re z, a step within rounding of c's size is no jump of phi
+        self.jump_at_x0 = any(
+            e == x0 and abs(a - b) > FREEZE * max(abs(a), abs(b)) for e, b, a in zip(edges, below, above)
+        )
+        self.inner = np.array(edges[1:-1])
+        self.phi = _phi_factory(measure, weight)
+
+        # toward a cusp the seeds go down to one grading step above the freeze
+        # width there (nearer in, node rounding swamps the panel error
+        # estimates); the edges at the clamp point p keep where their cusp
+        # grading stopped, for the per-y grading toward the pole
+        cusps = {*measure.cusps(), *weight.cusps()}
+        self.breaks, self.poles = edges[1:-1], []
+        for p, a, b in zip(near.tolist(), edges[:-1], edges[1:]):
+            for e, side in ((a, 1.0), (b, -1.0)):
+                stop = FREEZE / GRADING * (abs(e) or b - a) if e in cusps else math.inf
+                seeds, step = _graded(e, side, GRADING * (b - a), stop)
+                self.breaks += seeds
+                if e == p:
+                    self.poles.append((e, side, step, stop))
+
+    def numerator(self, x: np.ndarray, seed_grid: bool) -> np.ndarray:
+        """phi - c at the nodes x, c the value of the piece holding each node.
+        A seed grid equal to the last one reuses its values; a new one
+        replaces them."""
+        grid = self.grid
+        if seed_grid and grid is not None and np.array_equal(grid[0], x):
+            return grid[1]
+        num = self.phi(x) - self.cs[np.searchsorted(self.inner, x, side="right")]
+        if seed_grid:
+            self.grid = (x, num)
+        return num
+
+
+_last_plan = None  # one slot: consecutive calls on one ladder share its plan
 
 
 def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs_tol: float) -> TransformValue:
     """C(z) by singularity subtraction; Im z = 0 is read as 0+."""
+    global _last_plan
     x0, y = z.real, z.imag
-    total = sum(a.mass * weight(a.location) ** 2 / (a.location - z) for a in measure.atoms) + 0.0j
-    edges = _piece_edges(measure, weight, cuts=(x0,))
-    if not edges:
+    plan = _last_plan
+    if plan is None or plan.key != (measure, weight, x0):
+        plan = _last_plan = _Plan(measure, weight, x0)
+    total = sum(mw / (loc - z) for loc, mw in plan.atoms) + 0.0j
+    if not plan.edges:
         return TransformValue(total, 0.0, 0)
 
-    pieces = list(zip(edges[:-1], edges[1:]))
-    near = [min(max(x0, lo), hi) for lo, hi in pieces]
-    cs = np.array([_inner_value(measure, weight, p, lo, hi) for p, (lo, hi) in zip(near, pieces)])
-    # sum of c_k [log(hi_k - z) - log(lo_k - z)], gathered edge by edge
-    for e, rise in zip(edges, np.diff(cs, prepend=0.0, append=0.0)):
-        if rise != 0.0:
-            if e == x0 and y == 0.0:
-                raise NotHolder(f"w^2 rho jumps at lam={x0}: the principal value diverges")
+    if y == 0.0 and plan.jump_at_x0:
+        raise NotHolder(f"w^2 rho jumps at lam={x0}: the principal value diverges")
+    # sum of c_k [log(hi_k - z) - log(lo_k - z)], gathered edge by edge; at
+    # y = 0 an edge at Re z is left with no rise or a rounding-level one
+    for e, rise in plan.jumps:
+        if y or e != x0:
             total -= rise * cmath.log(complex(e - x0, -y))
 
-    cusps = {*measure.cusps(), *weight.cusps()}
-    seeds = []
-    for p, (lo, hi) in zip(near, pieces):
-        for e, side in ((lo, 1.0), (hi, -1.0)):
-            # toward the pole down to half its distance from z; toward a cusp
-            # down to one grading step above the freeze width there (nearer
-            # in, node rounding swamps the panel error estimates)
-            reach = abs(complex(e - x0, y))
-            stops = [0.5 * reach] if e == p and reach else []
-            if e in cusps:
-                stops.append(FREEZE / GRADING * (abs(e) or hi - lo))
-            step = GRADING * (hi - lo)
-            while stops and min(stops) < step:
-                seeds.append(e + side * step)
-                step *= GRADING
-    phi = _phi_factory(measure, weight)
-    inner = np.array(edges[1:-1])
+    # toward the pole the seeds go down to half its distance from z, so the
+    # panel error estimate sees the O(y |phi'|) term within |Im z| of Re z
+    breaks = plan.breaks
+    for e, side, step, stop in plan.poles:
+        reach = abs(complex(e - x0, y))
+        if reach and 0.5 * reach < stop:
+            breaks = breaks + _graded(e, side, step, 0.5 * reach)[0]
+    seed_grid = True
 
     def subtracted(x):
+        nonlocal seed_grid
+        num = plan.numerator(x, seed_grid)
+        seed_grid = False
         # real at y = 0+, so a subnormal x - lam cannot overflow a complex division
         d = x - z if y else x - x0
-        num = phi(x) - cs[np.searchsorted(inner, x, side="right")]
         # a node rounded onto Re z at y = 0 sits on an integrable singularity
         return np.divide(num, d, out=np.zeros_like(d), where=d != 0)
 
-    res = integrate_adaptive(subtracted, edges[0], edges[-1], abs_tol=abs_tol, breakpoints=edges[1:-1] + seeds)
+    res = integrate_adaptive(subtracted, plan.edges[0], plan.edges[-1], abs_tol=abs_tol, breakpoints=breaks)
     return TransformValue(total + res.value, res.error, res.panels, res.tolerance_met)
 
 

@@ -317,7 +317,10 @@ def quadratic_form(model: MatrixModel, z: complex, u: np.ndarray | None = None) 
 
 
 def resolution_floor(model: MatrixModel, lam: float) -> float:
-    """Smallest trustworthy |Im z| near ``lam``: ten times the local spacing.
+    """Smallest trustworthy |Im z| near ``lam``: ten times the local spacing,
+    the largest gap beside the continuum nodes nearest ``lam`` (the node at
+    ``lam``, or the two around it).  It reads the same on the mirrored model
+    at ``-lam``.
 
     Below this the discretized continuum acts like point spectrum.  Models
     with fewer than two continuum nodes have no floor (returns 0).
@@ -326,5 +329,6 @@ def resolution_floor(model: MatrixModel, lam: float) -> float:
     if cont.size < 2:
         return 0.0
     gaps = np.diff(cont)
-    idx = int(np.searchsorted(cont, lam))
-    return float(10.0 * gaps[np.clip([idx - 1, idx], 0, gaps.size - 1)].max())
+    left = int(np.searchsorted(cont, lam, side="right")) - 1  # last node <= lam
+    right = int(np.searchsorted(cont, lam))  # first node >= lam
+    return float(10.0 * gaps[max(left - 1, 0) : right + 1].max())

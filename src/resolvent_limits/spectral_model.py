@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,7 +94,11 @@ def _read_parameters(name: str, value) -> dict:
     return {k: read_number(f"{name} {k}", v) for k, v in read_object(name, value).items()}
 
 
-def _check_params(kind: str, params: dict, table: dict) -> None:
+def _freeze_params(family, table: dict) -> None:
+    """Check a family's parameters against its kind, and keep them as a
+    read-only copy: a built family's value never changes, so the transform
+    kernel may reuse work keyed on it."""
+    kind, params = family.kind, MappingProxyType(dict(family.parameters))
     if kind not in table:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {sorted(table)}")
     expected = table[kind]
@@ -103,6 +108,7 @@ def _check_params(kind: str, params: dict, table: dict) -> None:
     for name, value in params.items():
         if not math.isfinite(float(value)):
             raise ValueError(f"{kind} parameter {name}={value!r} is not finite")
+    object.__setattr__(family, "parameters", params)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ class DensityFamily:
     support: tuple = ()
 
     def __post_init__(self):
-        _check_params(self.kind, self.parameters, _DENSITY_PARAMS)
+        _freeze_params(self, _DENSITY_PARAMS)
         p = self.parameters
         if self.kind in ("constant", "power_bump", "smooth_bump") and p["level"] < 0:
             raise ValueError(f"{self.kind} level must be nonnegative")
@@ -280,7 +286,7 @@ class WeightFunction:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_params(self.kind, self.parameters, _WEIGHT_PARAMS)
+        _freeze_params(self, _WEIGHT_PARAMS)
         p = self.parameters
         if p["half_width"] <= 0:
             raise ValueError("weight half_width must be positive")

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,6 +197,108 @@ def test_cusp_rung_takes_one_integrand_call(monkeypatch, c, expo):
     assert max(calls) <= 2, calls
 
 
+def test_cusp_ladder_evaluates_the_weight_twice(monkeypatch):
+    # one call for the one-sided values c, one for phi on the seed grid,
+    # which every rung and the boundary value repeat
+    evaluate_offaxis(FLAT, PLATEAU, 0.5j)  # the last plan is for other data
+    calls = []
+    values = WeightFunction.values
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return values(self, x)
+
+    monkeypatch.setattr(WeightFunction, "values", counting)
+    measure, weight = symmetric_cusp(0.3, 0.75, 1.5, 1.0)
+    for y in CUSP_LADDER:
+        evaluate_offaxis(measure, weight, complex(0.3, y))
+    plemelj_boundary(measure, weight, 0.3)
+    assert len(calls) == 2, calls
+
+
+def _draw_re_z(data, measure, weight):
+    """Re z on a structure point (a cusp or an edge, where seed grids repeat)
+    or anywhere."""
+    points = [*measure.breakpoints(), *weight.support, *weight.breakpoints()]
+    return data.draw(st.sampled_from(points) | st.floats(-2.0, 2.0) if points else st.floats(-2.0, 2.0))
+
+
+def _rung(measure, weight, z):
+    """The kernel's TransformValue at z, or the type of what it raised."""
+    try:
+        return ct._transform(measure, weight, z, 1e-10)
+    except (NotHolder, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@given(spectral_measures(), weight_functions(), st.data())
+@settings(max_examples=25)
+def test_a_ladder_shares_its_plan_exactly(measure, weight, data):
+    x0 = _draw_re_z(data, measure, weight)
+    ladder = [complex(x0, y) for y in (1e-1, 1e-1, 1e-4, 1e-8, 1e-12, 1e-13, 0.0)]
+    in_order = [_rung(measure, weight, z) for z in ladder]
+    after_other_data = []
+    for z in ladder:
+        _rung(FLAT, PLATEAU, 0.125 + 0.5j)
+        after_other_data.append(_rung(measure, weight, z))
+    assert in_order == after_other_data
+
+
+def _reference_breakpoints(measure, weight, z):
+    """The kernel's breakpoints as the grading loop gives them, rung by rung."""
+    x0, y = z.real, z.imag
+    edges = ct._piece_edges(measure, weight, cuts=(x0,))
+    cusps = {*measure.cusps(), *weight.cusps()}
+    seeds = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        p = min(max(x0, lo), hi)
+        for e, side in ((lo, 1.0), (hi, -1.0)):
+            reach = abs(complex(e - x0, y))
+            stops = [0.5 * reach] if e == p and reach else []
+            if e in cusps:
+                stops.append(ct.FREEZE / ct.GRADING * (abs(e) or hi - lo))
+            step = ct.GRADING * (hi - lo)
+            while stops and min(stops) < step:
+                seeds.append(e + side * step)
+                step *= ct.GRADING
+    return sorted(edges[1:-1] + seeds)
+
+
+class _Breakpoints(Exception):
+    pass
+
+
+def _raise_breakpoints(f, a, b, **kwargs):
+    raise _Breakpoints(sorted(kwargs["breakpoints"]))
+
+
+@given(spectral_measures(), weight_functions(), st.data())
+@settings(max_examples=25)
+def test_seeds_follow_the_grading_loop_at_every_y(measure, weight, data):
+    x0 = _draw_re_z(data, measure, weight)
+    with mock.patch.object(ct, "integrate_adaptive", _raise_breakpoints):
+        for y in (1e-1, 1e-12, 1e-13, 1e-200, 5e-324, 0.0):
+            z = complex(x0, y)
+            try:
+                ct._transform(measure, weight, z, 1e-10)
+            except _Breakpoints as got:
+                assert got.args[0] == _reference_breakpoints(measure, weight, z), y
+            except (NotHolder, ZeroDivisionError):
+                pass
+
+
+def test_plans_for_data_differing_in_one_parameter_stay_apart():
+    # alternating at one z, the two measures share every seed grid
+    levels = (1.0, 1.5)
+    measures = [SpectralMeasure((DensityFamily("constant", {"level": v}, (-1.0, 1.0)),)) for v in levels]
+    for y in (*CUSP_LADDER[::3], 0.0):
+        z = complex(0.3, y)
+        for level, measure in (*zip(levels, measures), *zip(levels, measures)):
+            ref, scale = plateau_closed_form(level, 0.0, -1.0, 1.0, [], z)
+            value = plemelj_boundary(measure, PLATEAU, 0.3) if y == 0.0 else evaluate_offaxis(measure, PLATEAU, z).value
+            assert abs(value - ref) <= 1e-10 + 64 * EPS * scale, (level, y)
+
+
 def test_power_hat_cusp_boundary_meets_target():
     # transform-deep-y seed 10, cusp-power_hat#14: the exact value is 0, and
     # bisection one panel per call stopped at 1.44e-10 with the target missed.
@@ -268,6 +371,19 @@ def test_plemelj_where_two_equal_constant_pieces_meet():
     # each piece ends at lam, but w^2 rho is the constant 1 across it
     halves = tuple(DensityFamily("constant", {"level": 1.0}, s) for s in ((-1.0, 0.0), (0.0, 1.0)))
     assert plemelj_boundary(SpectralMeasure(ac_parts=halves), PLATEAU, 0.0) == 1j * math.pi
+
+
+def test_plemelj_across_a_rounding_level_step():
+    # 0.1 + 0.1 x meets 0.17 at 0.7 one ulp below it: phi is continuous there,
+    # C(0.7 + i0) = 0.17 + 0.17 log(0.8 / 1.7) + i pi 0.17
+    parts = (
+        DensityFamily("affine", {"level": 0.1, "slope": 0.1, "center": 0.0}, (-1.0, 0.7)),
+        DensityFamily("constant", {"level": 0.17}, (0.7, 1.5)),
+    )
+    weight = WeightFunction("plateau", {"center": 0.25, "half_width": 1.25})
+    value = plemelj_boundary(SpectralMeasure(ac_parts=parts), weight, 0.7)
+    ref = complex(0.17 + 0.17 * math.log(0.8 / 1.7), math.pi * 0.17)
+    assert abs(value - ref) <= 1e-10 + 64 * EPS * abs(ref)
 
 
 def test_plemelj_at_a_density_edge_where_the_weight_vanishes():

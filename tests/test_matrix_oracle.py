@@ -397,11 +397,11 @@ def test_resolution_floor():
         (0.0, 0.5),
         (0.25, 0.5),  # on the atom, which is not a continuum node
         (0.5, 0.5),  # on a node: the larger of the gaps on either side
-        (0.5625, 0.375),  # between nodes: the larger of lam's gap and the next
+        (0.5625, 0.5),  # between nodes: the largest of lam's gap and its two neighbours
         (0.625, 0.375),
         (0.75, 0.375),
         (1.0, 0.375),
-        (1.0625, 0.125),  # in the last gap
+        (1.0625, 0.375),  # in the last gap: it and the one before
         (1.125, 0.125),
         (2.0, 0.125),  # above the last node: the last gap
     ],
@@ -411,6 +411,16 @@ def test_resolution_floor_reads_the_gaps_beside_lam(lam, gap):
     nodes = [0.0, 0.25, 0.5, 0.625, 1.0, 1.125]
     model = _model(nodes, flags=[node == 0.25 for node in nodes])
     assert resolution_floor(model, lam) == 10.0 * gap
+
+
+@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12, unique=True), st.data())
+def test_resolution_floor_is_mirror_symmetric(points, data):
+    nodes = np.sort(points)
+    flags = np.array(data.draw(st.lists(st.booleans(), min_size=nodes.size, max_size=nodes.size)))
+    midpoints = list(0.5 * (nodes[:-1] + nodes[1:]))
+    lam = data.draw(st.sampled_from([*nodes, *midpoints]) | st.floats(-3.0, 3.0))
+    mirrored = _model(-nodes[::-1], flags=flags[::-1])
+    assert resolution_floor(_model(nodes, flags=flags), lam) == resolution_floor(mirrored, -lam)
 
 
 def test_passed_embedding_is_used_and_checked():

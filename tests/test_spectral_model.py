@@ -194,3 +194,15 @@ def test_smooth_bump_vanishes_smoothly_at_edges():
     # w^2 rho is continuous at the edge, so the boundary value exists there
     wide = WeightFunction("plateau", {"center": 0.0, "half_width": 2.0})
     plemelj_boundary(SpectralMeasure(ac_parts=(f,)), wide, 1.0)
+
+
+def test_parameters_are_a_read_only_copy():
+    density_params, weight_params = {"level": 1.0}, {"center": 0.0, "half_width": 1.0}
+    part = DensityFamily("constant", density_params, (0.0, 1.0))
+    weight = WeightFunction("hat", weight_params)
+    density_params["level"] = weight_params["center"] = 0.5
+    assert part.parameters == {"level": 1.0}
+    assert weight.parameters == {"center": 0.0, "half_width": 1.0}
+    for family in (part, weight):
+        with pytest.raises(TypeError):
+            family.parameters["level"] = 2.0
