@@ -42,9 +42,10 @@ weights are frozen, their parameters included, so equal keys mean equal data.
 The plan also keeps phi - c on the last seed grid integrated.  Seeds toward
 the pole are the only ones that move with y, so a rung whose seed grid equals
 the last one (every rung whose pole grading stops above a cusp's) reuses
-those values and makes no catalog call.  Each shared number is the one the
-same operations give at the first rung, so a shared plan changes no result,
-bit for bit.
+those values and makes no catalog call; the quadrature hands such a grid over
+as the very node array of the last call, so one identity test finds it.  Each
+shared number is the one the same operations give at the first rung, so a
+shared plan changes no result, bit for bit.
 
 Near/far splitting truncates densities at ``lam +- eps`` and routes atoms by
 the open interval ``(lam - eps, lam + eps)``; the far part obeys the a priori
@@ -139,7 +140,8 @@ class _Plan:
         self.key = (measure, weight, x0)
         locations = [a.location for a in measure.atoms]
         w = weight.values(locations).tolist() if locations else []
-        self.atoms = [(a.location, a.mass * wa ** 2) for a, wa in zip(measure.atoms, w)]
+        # an atom F cannot see adds nothing, and at y = 0 its term would divide by zero
+        self.atoms = [(a.location, mw) for a, wa in zip(measure.atoms, w) if (mw := a.mass * wa ** 2)]
         self.edges = edges = _piece_edges(measure, weight, cuts=(x0,))
         self.grid = None  # (nodes, phi - c there) of the last seed grid: one attribute, read once
         if not edges:
@@ -177,10 +179,10 @@ class _Plan:
 
     def numerator(self, x: np.ndarray, seed_grid: bool) -> np.ndarray:
         """phi - c at the nodes x, c the value of the piece holding each node.
-        A seed grid equal to the last one reuses its values; a new one
-        replaces them."""
+        The last seed grid's node array, handed over again, reuses its
+        values; a new one replaces them."""
         grid = self.grid
-        if seed_grid and grid is not None and np.array_equal(grid[0], x):
+        if seed_grid and grid is not None and grid[0] is x:
             return grid[1]
         num = self.phi(x) - self.cs[np.searchsorted(self.inner, x, side="right")]
         if seed_grid:
@@ -198,6 +200,8 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
     plan = _last_plan
     if plan is None or plan.key != (measure, weight, x0):
         plan = _last_plan = _Plan(measure, weight, x0)
+    if y == 0.0 and any(loc == x0 for loc, _ in plan.atoms):
+        raise AtomAtProbe(f"atom at {x0} coincides with probe point")
     total = sum(mw / (loc - z) for loc, mw in plan.atoms) + 0.0j
     if not plan.edges:
         return TransformValue(total, 0.0, 0)
@@ -223,9 +227,11 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
         nonlocal seed_grid
         num = plan.numerator(x, seed_grid)
         seed_grid = False
-        # real at y = 0+, so a subnormal x - lam cannot overflow a complex division
-        d = x - z if y else x - x0
-        # a node rounded onto Re z at y = 0 sits on an integrable singularity
+        if y:
+            return num / (x - z)
+        # real at y = 0+, so a subnormal x - lam cannot overflow a complex
+        # division; a node rounded onto Re z sits on an integrable singularity
+        d = x - x0
         return np.divide(num, d, out=np.zeros_like(d), where=d != 0)
 
     res = integrate_adaptive(subtracted, plan.edges[0], plan.edges[-1], abs_tol=abs_tol, breakpoints=breaks)
@@ -257,14 +263,12 @@ def plemelj_boundary(
     """Boundary value C(lam + i0): principal value plus the jump term
     ``i pi w(lam)^2 rho(lam)``, from the kernel of ``evaluate_offaxis`` at y = 0+.
 
-    An atom at ``lam`` raises AtomAtProbe.  Whether the limit exists is a
-    question about w^2 rho at ``lam``, not about w or rho alone: the kernel
-    raises NotHolder when w^2 rho jumps there, and nowhere else.
+    Whether the limit exists is a question about F and w^2 rho at ``lam``,
+    not about w or rho alone: the kernel raises AtomAtProbe for an atom at
+    ``lam`` that F sees (m w(lam)^2 != 0), NotHolder when w^2 rho jumps there,
+    and nothing else.
     """
     lam = float(lam)
-    for atom in measure.atoms:
-        if atom.location == lam:
-            raise AtomAtProbe(f"atom at {atom.location} coincides with probe point")
     return complex(_transform(measure, weight, complex(lam, 0.0), abs_tol).value)
 
 
@@ -275,8 +279,8 @@ def principal_value(
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> float:
     """Principal value at ``lam``: the real part of ``plemelj_boundary``,
-    which raises AtomAtProbe for an atom at ``lam`` and NotHolder when
-    w^2 rho jumps there."""
+    which raises AtomAtProbe for an atom at ``lam`` that F sees and NotHolder
+    when w^2 rho jumps there."""
     return plemelj_boundary(measure, weight, lam, abs_tol=abs_tol).real
 
 

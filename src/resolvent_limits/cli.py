@@ -289,6 +289,9 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
                 "norm": s.norm,
                 "diff": None if math.isnan(s.diff) else s.diff,
                 "tag": s.tag,
+                "abs_error_estimate": s.abs_error_estimate,
+                "panels": s.panels,
+                "tolerance_met": s.tolerance_met,
             }
             for s in report.samples
         ],
@@ -365,8 +368,8 @@ def cmd_compactness(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_stone_density(cfg: ExperimentConfig) -> tuple:
-    if any(a.location == cfg.lam for a in cfg.measure.atoms):
-        raise ConfigError(f"stone-density probe point {cfg.lam} coincides with an atom")
+    if any(a.location == cfg.lam and a.mass * cfg.weight(cfg.lam) ** 2 for a in cfg.measure.atoms):
+        raise ConfigError(f"stone-density probe point {cfg.lam} coincides with an atom the weight sees")
     ev = lambda z: evaluate_offaxis(
         cfg.measure, cfg.weight, z, abs_tol=cfg.tolerances.quadrature_abs
     )

@@ -86,6 +86,10 @@ class ProbeSample:
     norm: float
     diff: float  # distance to the previous sample; nan for the first
     tag: str
+    # the quadrature's accounting of a transform sample; None for the others
+    abs_error_estimate: float | None = None
+    panels: int | None = None
+    tolerance_met: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -107,18 +111,20 @@ def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple:
 
 
 def _unpack(sample) -> tuple:
-    """Normalize an evaluator result to (shadow, norm, tag)."""
+    """Normalize an evaluator result to (shadow, norm, tag, accounting), the
+    accounting being the quadrature's (error estimate, panels, tolerance met)
+    for a transform sample and Nones for the others."""
     if isinstance(sample, OperatorSample):
-        return sample.trace, float(sample.norm), "matrix"
+        return sample.trace, float(sample.norm), "matrix", (None, None, None)
     if isinstance(sample, TransformValue):
         v = complex(sample.value)
-        return v, abs(v), "transform"
+        return v, abs(v), "transform", (sample.abs_error_estimate, sample.panels_used, sample.tolerance_met)
     v = complex(sample)
-    return v, abs(v), "scalar"
+    return v, abs(v), "scalar", (None, None, None)
 
 
 def _ladder(evaluator: Callable[[complex], object], lam: float, schedule: YSchedule):
-    """Yield (y, raw sample, (shadow, norm, tag)) down the schedule.
+    """Yield (y, raw sample, (shadow, norm, tag, accounting)) down the schedule.
 
     Evaluator exceptions are re-raised as EvaluatorFailure carrying the
     offending y.
@@ -145,14 +151,14 @@ def limit_probe(
     """
     samples = []
     prev = None
-    for y, raw, (shadow, norm, tag) in _ladder(evaluator, lam, schedule):
+    for y, raw, (shadow, norm, tag, accounting) in _ladder(evaluator, lam, schedule):
         if prev is None:
             diff = float("nan")
         elif isinstance(raw, OperatorSample):
             diff = raw.distance(prev)
         else:
             diff = abs(shadow - samples[-1].shadow)
-        samples.append(ProbeSample(y=y, shadow=shadow, norm=norm, diff=diff, tag=tag))
+        samples.append(ProbeSample(y, shadow, norm, diff, tag, *accounting))
         prev = raw
 
     ys = np.array([s.y for s in samples])
@@ -164,10 +170,11 @@ def limit_probe(
     rate_residual = 0.0
     limit_estimate: complex | None = None
 
-    norm_slope, norm_res = (0.0, 0.0)
-    if np.all(norms > 0) and not np.all(norms == norms[0]):
-        norm_slope, norm_res = _loglog_fit(ys, norms)
+    # only increasing norms are fitted: nothing else reads the slope
     increasing = np.all(norms[1:] >= norms[:-1] * (1.0 - 1e-9)) and norms[-1] > norms[0]
+    norm_slope, norm_res = (0.0, 0.0)
+    if increasing and np.all(norms > 0):
+        norm_slope, norm_res = _loglog_fit(ys, norms)
 
     if increasing and norm_slope <= -0.5 and norm_res < 0.1:
         verdict = DIVERGES
@@ -280,7 +287,7 @@ def stone_density(
     (smallest y), where the Holder error term is negligible.  For catalog
     data this recovers w(lam)^2 rho(lam).
     """
-    estimates = [shadow.imag / math.pi for _, _, (shadow, _, _) in _ladder(evaluator, lam, schedule)]
+    estimates = [shadow.imag / math.pi for _, _, (shadow, *_) in _ladder(evaluator, lam, schedule)]
     ys = np.array(schedule.values)
     vals = np.array(estimates)
     tail = max(4, ys.size // 2)

@@ -15,6 +15,18 @@ the worst panel is bisected, both children in one call, until the summed
 estimate meets the target or the panel budget runs out.  Either way panels
 are summed left to right, and the returned estimate is the honest sum over
 panels; ``tolerance_met`` says whether it meets the target.
+
+A y-ladder hands this layer the same seed grid rung after rung.  The last
+seed grid sits in one slot, keyed by the value of (a, b, breakpoints, order):
+its edges, half-widths and nodes.  A call with an equal key takes those
+arrays instead of sorting the breakpoints and placing the nodes again; the
+bisection rounds still build their own panels.  The arrays are the ones the
+same operations gave on the first call (equal keys give equal panels: the
+sign of a zero edge moves no midpoint or half-width), and the node array is
+read-only, so no integrand can change it for the next; sharing the slot
+changes no bit.
+The Cauchy-transform kernel keeps its own one-slot memo, its plan, in the
+same way (see ``cauchy_transform``).
 """
 
 from __future__ import annotations
@@ -53,18 +65,44 @@ class PanelIntegral:
 
 
 def _summed(vals, errs, abs_tol: float) -> PanelIntegral:
-    """Panel values and error estimates summed left to right (deterministic)."""
-    error = float(sum(errs))
-    return PanelIntegral(sum(vals, 0.0 + 0.0j), error, len(errs), error <= abs_tol)
+    """Panel values and error estimates summed left to right, one after
+    another as Python's ``sum`` adds them; the leading zeros are its start
+    values, so signed zeros come out as they do there."""
+    value = np.add.accumulate(np.concatenate(([0j], vals)))[-1]
+    error = float(np.add.accumulate(np.concatenate(([0.0], errs)))[-1])
+    return PanelIntegral(value, error, len(errs), error <= abs_tol)
 
 
-def _eval_panels(f, lo: np.ndarray, hi: np.ndarray, order: int):
-    """Values and error estimates of the panels [lo_k, hi_k], in one call of f."""
-    nodes, w1, w2 = _rule(order)
+def _panels(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Half-widths of the panels [lo_k, hi_k] and the nodes of both rules on
+    each, panel by panel."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    xs = mid[:, None] + half[:, None] * nodes
-    ys = np.asarray(f(xs.ravel())).reshape(xs.shape)
+    return half, (mid[:, None] + half[:, None] * _rule(order)[0]).ravel()
+
+
+_last_grid = None  # one slot: (key, edges, half-widths, read-only nodes) of the last seed grid
+
+
+def _seed_grid(a: float, b: float, breakpoints, order: int):
+    """Edges, half-widths and nodes of the seed panels; equal to the last
+    call's (compared by value), they are the last call's arrays."""
+    global _last_grid
+    key = (a, b, tuple(breakpoints), order)
+    grid = _last_grid
+    if grid is None or grid[0] != key:
+        edges = np.array(sorted({a, b}.union(float(p) for p in breakpoints if a < p < b)))
+        half, xs = _panels(edges[:-1], edges[1:], order)
+        xs.flags.writeable = False  # the integrand sees the shared array
+        grid = _last_grid = (key, edges, half, xs)
+    return grid[1:]
+
+
+def _eval_panels(f, half: np.ndarray, xs: np.ndarray, order: int):
+    """Values and error estimates of the panels with half-widths ``half`` and
+    nodes ``xs``, in one call of f."""
+    _, w1, w2 = _rule(order)
+    ys = np.asarray(f(xs)).reshape(half.size, 3 * order)
     coarse = half * (ys[:, :order] @ w1)
     fine = half * (ys[:, order:] @ w2)
     return fine, np.abs(fine - coarse)
@@ -92,8 +130,8 @@ def integrate_adaptive(
     if not b > a:
         return PanelIntegral(0.0 + 0.0j, 0.0, 0)
 
-    edges = np.array(sorted({a, b}.union(float(p) for p in breakpoints if a < p < b)))
-    vals, errs = _eval_panels(f, edges[:-1], edges[1:], order)
+    edges, half, xs = _seed_grid(a, b, breakpoints, order)
+    vals, errs = _eval_panels(f, half, xs, order)
     live_error = float(np.sum(errs))
     if live_error <= abs_tol:  # the seed grid meets the target: no heap
         return _summed(vals, errs, abs_tol)
@@ -109,7 +147,7 @@ def integrate_adaptive(
             frozen.append((lo, hi, val, err))
             continue
         mid = 0.5 * (lo + hi)
-        vals, errs = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]), order)
+        vals, errs = _eval_panels(f, *_panels(np.array([lo, mid]), np.array([mid, hi]), order), order)
         for plo, phi, pval, perr in zip((lo, mid), (mid, hi), vals, errs):
             heapq.heappush(heap, (-perr, counter, plo, phi, pval, perr))
             live_error += perr

@@ -227,7 +227,7 @@ def _rung(measure, weight, z):
     """The kernel's TransformValue at z, or the type of what it raised."""
     try:
         return ct._transform(measure, weight, z, 1e-10)
-    except (NotHolder, ZeroDivisionError) as exc:
+    except (NotHolder, AtomAtProbe) as exc:
         return type(exc)
 
 
@@ -283,7 +283,7 @@ def test_seeds_follow_the_grading_loop_at_every_y(measure, weight, data):
                 ct._transform(measure, weight, z, 1e-10)
             except _Breakpoints as got:
                 assert got.args[0] == _reference_breakpoints(measure, weight, z), y
-            except (NotHolder, ZeroDivisionError):
+            except (NotHolder, AtomAtProbe):
                 pass
 
 
@@ -365,6 +365,22 @@ def test_principal_value_guards():
         principal_value(m, PLATEAU, 0.5)
     with pytest.raises(NotHolder):
         principal_value(FLAT, PLATEAU, 1.0)  # density jump at the support edge
+
+
+# an atom at lam = 1 under a hat weight that vanishes there: F P_lam = 0
+UNSEEN_ATOM = SpectralMeasure((DensityFamily("constant", {"level": 1.0}, (-1.0, 2.0)),), (Atom(1.0, 0.5),))
+HAT = WeightFunction("hat", {"center": 0.0, "half_width": 1.0})
+
+
+def test_an_atom_the_weight_cannot_see_is_no_obstacle():
+    # C(1 + i0) = integral over [-1, 1] of (1 - |x|)^2 / (x - 1) = 2 - 4 ln 2
+    assert abs(plemelj_boundary(UNSEEN_ATOM, HAT, 1.0) - (2.0 - 4.0 * math.log(2.0))) <= 1e-10
+    # the atom adds no term, off the axis either
+    without = SpectralMeasure(UNSEEN_ATOM.ac_parts)
+    for y in (1e-2, 1e-8):
+        assert evaluate_offaxis(UNSEEN_ATOM, HAT, complex(1.0, y)) == evaluate_offaxis(without, HAT, complex(1.0, y))
+    with pytest.raises(AtomAtProbe):  # where the weight sees it, it is one
+        plemelj_boundary(SpectralMeasure(UNSEEN_ATOM.ac_parts, (Atom(0.5, 0.5),)), HAT, 0.5)
 
 
 def test_plemelj_where_two_equal_constant_pieces_meet():

@@ -63,6 +63,15 @@ def test_probe_limit_converges_exit_zero(tmp_path):
     assert len(curve) == 2 + len(report["samples"])
 
 
+def test_probe_limit_report_gives_each_samples_accounting(tmp_path):
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    main(["probe-limit", "--config", str(cfg), "--out", str(out), "--tolerance", "1e-4"])
+    for sample in json.loads((out / "t_limit_report.json").read_text())["samples"]:
+        assert 0.0 <= sample["abs_error_estimate"] <= 1e-10
+        assert sample["panels"] > 0 and sample["tolerance_met"] is True
+
+
 def test_probe_limit_atom_diverges(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -207,6 +216,13 @@ def test_stone_density_outputs(tmp_path):
 def test_stone_density_rejects_atom_probe(tmp_path):
     cfg = write_config(tmp_path / "c.json", measure=ATOM_MEASURE)
     assert main(["stone-density", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_stone_density_runs_at_an_atom_the_weight_cannot_see(tmp_path):
+    measure = {"ac_parts": [constant_part(support=(-1.0, 2.0))], "atoms": [{"location": 1.0, "mass": 0.5}]}
+    weight = {"kind": "hat", "parameters": {"center": 0.0, "half_width": 1.0}}
+    cfg = write_config(tmp_path / "c.json", measure=measure, weight=weight, **{"lambda": 1.0})
+    assert main(["stone-density", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_holder_fit_density_and_degenerate_weight(tmp_path):

@@ -81,6 +81,32 @@ def test_limit_probe_transform_reaches_plemelj():
     assert abs(report.limit_estimate - 1j * math.pi) < 1e-3
 
 
+def test_limit_probe_converges_past_an_atom_the_weight_cannot_see():
+    # constant 1 on [-1, 2], hat weight vanishing at the atom at lam = 1
+    measure = SpectralMeasure((DensityFamily("constant", {"level": 1.0}, (-1.0, 2.0)),), (Atom(1.0, 0.5),))
+    hat = WeightFunction("hat", {"center": 0.0, "half_width": 1.0})
+    report = limit_probe(lambda z: evaluate_offaxis(measure, hat, z), 1.0, YSchedule(1e-1, 1e-10, 0.1))
+    assert report.verdict == CONVERGES
+    assert abs(report.limit_estimate - (2.0 - 4.0 * math.log(2.0))) <= 1e-10
+
+
+def test_samples_carry_the_quadrature_accounting():
+    values = []
+
+    def evaluator(z):
+        values.append(evaluate_offaxis(FLAT, PLATEAU, z))
+        return values[-1]
+
+    report = limit_probe(evaluator, 0.3, SCHED)
+    assert [(s.abs_error_estimate, s.panels, s.tolerance_met) for s in report.samples] == [
+        (tv.abs_error_estimate, tv.panels_used, tv.tolerance_met) for tv in values
+    ]
+    model = discretize(FLAT, PLATEAU, 21)
+    for ev in (lambda z: 1.0 / z, lambda z: sandwiched_resolvent(model, z)):
+        for s in limit_probe(ev, 0.0, SCHED).samples:
+            assert (s.abs_error_estimate, s.panels, s.tolerance_met) == (None, None, None)
+
+
 def test_limit_probe_wraps_failures():
     def bad(z):
         raise RuntimeError("boom")

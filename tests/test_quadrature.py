@@ -2,7 +2,10 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from resolvent_limits import quadrature
 from resolvent_limits.quadrature import integrate_adaptive
 
 
@@ -80,3 +83,70 @@ def test_missed_target_is_reported(kwargs):
     res = integrate_adaptive(lambda x: 1.0 / (x - z), -1.0, 1.0, **kwargs)
     assert res.error > kwargs.get("abs_tol", 1e-10)
     assert res.tolerance_met is False
+
+
+def _bits(res) -> tuple:
+    return (res.value.real.hex(), res.value.imag.hex(), res.error.hex(), res.panels, res.tolerance_met)
+
+
+def _fresh(*args, **kwargs):
+    """integrate_adaptive with its seed-grid slot cleared first."""
+    quadrature._last_grid = None
+    return integrate_adaptive(*args, **kwargs)
+
+
+def _pole(z):
+    return lambda x: 1.0 / (x - z)
+
+
+grids = st.lists(st.floats(-1.5, 1.5), max_size=8)
+ends = st.sampled_from([(-1.0, 1.0), (-0.5, 1.0), (-1.0, 0.75)])
+
+
+@given(st.lists(st.tuples(ends, grids, st.floats(1e-6, 1.0), st.sampled_from([6, 12])), min_size=1, max_size=6), st.data())
+@settings(max_examples=40)
+def test_a_shared_seed_grid_changes_no_bit(calls, data):
+    # calls interleave grids and ends, and one breakpoint list changes in
+    # place between two calls in a row; the fresh calls come after all of them
+    shared = [0.0, 0.5]
+    runs = []
+    for ends, points, y, order in calls:
+        f = _pole(complex(0.25, y))
+        kwargs = dict(abs_tol=1e-9, order=order, max_panels=200)
+        for step in (*ends, points), (-1.0, 1.0, points), (*ends, shared), None, (*ends, shared):
+            if step is None:
+                shared[data.draw(st.integers(0, len(shared) - 1))] = data.draw(st.floats(-1.5, 1.5))
+                shared.append(data.draw(st.floats(-1.5, 1.5)))
+                continue
+            a, b, breakpoints = step
+            got = integrate_adaptive(f, a, b, breakpoints=breakpoints, **kwargs)
+            runs.append((f, a, b, list(breakpoints), kwargs, got))
+    for f, a, b, breakpoints, kwargs, got in runs:
+        assert _bits(got) == _bits(_fresh(f, a, b, breakpoints=breakpoints, **kwargs))
+
+
+values = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0])
+
+
+@given(st.lists(st.tuples(values, values), min_size=1, max_size=60), st.lists(st.floats(0.0, 1e300), min_size=1))
+@example([(-0.0, -0.0)], [0.0])  # sum's start value turns -0.0 into 0.0
+@example([(-0.0, 1.0), (-0.0, -1.0)], [0.0])
+def test_summed_adds_left_to_right_as_sum_does(pairs, errs):
+    vals = np.array([complex(re, im) for re, im in pairs])
+    errs = np.array((errs * len(pairs))[: len(pairs)])
+    error = float(sum(errs))
+    for v in (vals, vals.real, tuple(vals)):  # seed arrays, real integrands, bisected panels
+        value = sum(v, 0.0 + 0.0j)
+        want = quadrature.PanelIntegral(value, error, len(errs), error <= 1e-10)
+        assert _bits(quadrature._summed(v, errs, 1e-10)) == _bits(want)
+
+
+def test_an_integrand_cannot_write_into_the_shared_nodes():
+    def writes(x):
+        x *= 2.0
+        return x
+
+    for _ in range(2):  # a fresh grid, then the shared one
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_adaptive(writes, 0.0, 1.0, breakpoints=[0.5])
+    assert integrate_adaptive(lambda x: x, 0.0, 1.0, breakpoints=[0.5]).value.real == pytest.approx(0.5, abs=1e-15)
