@@ -39,13 +39,13 @@ piece edges, c, the rises of c at the edges, the atoms' m w(loc)^2 and the
 seeds graded into the cusps.  They form a plan, and the last plan is kept in
 one slot, reused while (measure, weight, Re z) compares equal; measures and
 weights are frozen, their parameters included, so equal keys mean equal data.
-The plan also keeps phi - c on the last seed grid integrated.  Seeds toward
-the pole are the only ones that move with y, so a rung whose seed grid equals
-the last one (every rung whose pole grading stops above a cusp's) reuses
-those values and makes no catalog call; the quadrature hands such a grid over
-as the very node array of the last call, so one identity test finds it.  Each
-shared number is the one the same operations give at the first rung, so a
-shared plan changes no result, bit for bit.
+Seeds toward the pole are the only ones that move with y, so the plan also
+keeps the last rung's pole seeds, its seed grid and phi - c on the grid's
+nodes.  A rung with equal pole seeds (every rung whose pole grading stops
+above a cusp's) takes that grid and those values and makes no catalog call;
+the quadrature's first integrand call is on the grid's own node array, so one
+identity test finds them.  Each shared number is the one the same operations
+give at the first rung, so a shared plan changes no result, bit for bit.
 
 Near/far splitting truncates densities at ``lam +- eps`` and routes atoms by
 the open interval ``(lam - eps, lam + eps)``; the far part obeys the a priori
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtomAtProbe, NonrealRequired, NotHolder
-from .quadrature import DEFAULT_ABS_TOL, FREEZE, integrate_adaptive
+from .quadrature import DEFAULT_ABS_TOL, FREEZE, integrate_adaptive, seed_grid
 from .spectral_model import SpectralMeasure, WeightFunction
 
 __all__ = [
@@ -134,7 +134,7 @@ class _Plan:
     """What C(z) needs from the data and Re z alone, shared by a ladder's
     rungs: the piece edges and their one-sided values c, the nonzero rises of
     c at the edges, the atoms' m w(loc)^2, the seeds graded into the cusps,
-    and phi - c on the last seed grid integrated."""
+    and the last rung's pole seeds, seed grid and phi - c on its nodes."""
 
     def __init__(self, measure: SpectralMeasure, weight: WeightFunction, x0: float):
         self.key = (measure, weight, x0)
@@ -143,7 +143,7 @@ class _Plan:
         # an atom F cannot see adds nothing, and at y = 0 its term would divide by zero
         self.atoms = [(a.location, mw) for a, wa in zip(measure.atoms, w) if (mw := a.mass * wa ** 2)]
         self.edges = edges = _piece_edges(measure, weight, cuts=(x0,))
-        self.grid = None  # (nodes, phi - c there) of the last seed grid: one attribute, read once
+        self.last = None  # (pole seeds, seed grid, phi - c on its nodes) of the last rung
         if not edges:
             return
         lo, hi = np.array(edges[:-1]), np.array(edges[1:])
@@ -177,17 +177,18 @@ class _Plan:
                 if e == p:
                     self.poles.append((e, side, step, stop))
 
-    def numerator(self, x: np.ndarray, seed_grid: bool) -> np.ndarray:
-        """phi - c at the nodes x, c the value of the piece holding each node.
-        The last seed grid's node array, handed over again, reuses its
-        values; a new one replaces them."""
-        grid = self.grid
-        if seed_grid and grid is not None and grid[0] is x:
-            return grid[1]
-        num = self.phi(x) - self.cs[np.searchsorted(self.inner, x, side="right")]
-        if seed_grid:
-            self.grid = (x, num)
-        return num
+    def numerator(self, x: np.ndarray) -> np.ndarray:
+        """phi - c at the nodes x, c the value of the piece holding each node."""
+        return self.phi(x) - self.cs[np.searchsorted(self.inner, x, side="right")]
+
+    def seeded(self, pole_seeds: list) -> tuple:
+        """The seed grid of a rung with these seeds toward the pole, and
+        phi - c on its nodes: the last rung's, when its pole seeds are equal."""
+        last = self.last
+        if last is None or last[0] != pole_seeds:
+            grid = seed_grid(self.edges[0], self.edges[-1], self.breaks + pole_seeds)
+            last = self.last = (pole_seeds, grid, self.numerator(grid.nodes))
+        return last[1:]
 
 
 _last_plan = None  # one slot: consecutive calls on one ladder share its plan
@@ -216,17 +217,15 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
 
     # toward the pole the seeds go down to half its distance from z, so the
     # panel error estimate sees the O(y |phi'|) term within |Im z| of Re z
-    breaks = plan.breaks
+    pole_seeds = []
     for e, side, step, stop in plan.poles:
         reach = abs(complex(e - x0, y))
         if reach and 0.5 * reach < stop:
-            breaks = breaks + _graded(e, side, step, 0.5 * reach)[0]
-    seed_grid = True
+            pole_seeds += _graded(e, side, step, 0.5 * reach)[0]
+    grid, on_grid = plan.seeded(pole_seeds)
 
     def subtracted(x):
-        nonlocal seed_grid
-        num = plan.numerator(x, seed_grid)
-        seed_grid = False
+        num = on_grid if x is grid.nodes else plan.numerator(x)
         if y:
             return num / (x - z)
         # real at y = 0+, so a subnormal x - lam cannot overflow a complex
@@ -234,7 +233,7 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
         d = x - x0
         return np.divide(num, d, out=np.zeros_like(d), where=d != 0)
 
-    res = integrate_adaptive(subtracted, plan.edges[0], plan.edges[-1], abs_tol=abs_tol, breakpoints=breaks)
+    res = integrate_adaptive(subtracted, grid, abs_tol=abs_tol)
     return TransformValue(total + res.value, res.error, res.panels, res.tolerance_met)
 
 
@@ -324,9 +323,8 @@ def weighted_mass(
     err = 0.0
     edges = _piece_edges(measure, weight)
     if edges:
-        res = integrate_adaptive(
-            _phi_factory(measure, weight), edges[0], edges[-1], abs_tol=abs_tol, breakpoints=edges[1:-1]
-        )
+        grid = seed_grid(edges[0], edges[-1], edges[1:-1])
+        res = integrate_adaptive(_phi_factory(measure, weight), grid, abs_tol=abs_tol)
         total, err = res.value.real, res.error
     for atom in measure.atoms:
         total += atom.mass * weight(atom.location) ** 2

@@ -41,7 +41,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -91,6 +91,12 @@ class Tolerances:
     quadrature_abs: float = DEFAULT_ABS_TOL
     convergence: float = 1e-6
     oracle_rel_gap: float = 1e-3
+
+    def __post_init__(self):
+        # no estimate meets a target of zero or below: a quadrature spends its panel budget on every rung
+        for name, value in asdict(self).items():
+            if not value > 0:
+                raise ConfigError(f"tolerances {name} must be positive, got {value!r}")
 
 
 @dataclass
@@ -467,7 +473,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if getattr(args, "tolerance", None) is not None:
-            setattr(cfg.tolerances, _TOL_TARGET[args.command], args.tolerance)
+            cfg.tolerances = replace(cfg.tolerances, **{_TOL_TARGET[args.command]: args.tolerance})
         summary, code, outputs = _COMMANDS[args.command](cfg)
         _write_all(
             Path(args.out),

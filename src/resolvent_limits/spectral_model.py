@@ -14,7 +14,8 @@ Density catalog (``DensityFamily.kind``):
                  may take negative values (used to exercise principal-value
                  machinery on sign-changing integrands)
 ``power_bump``   level * |x - center|**exponent on [a, b], exponent in (0, 1];
-                 Holder exponent at the center is exactly ``exponent``
+                 Holder exponent at the center is exactly ``exponent``; the
+                 center may lie outside [a, b] (a piece cut away from it)
 ``smooth_bump``  level * exp(1 - 1/(1 - t^2)), t = (x - center)/half_width;
                  infinitely smooth, vanishes to all orders at the edges
 
@@ -143,8 +144,6 @@ class DensityFamily:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"support must be a finite interval with lo < hi, got {self.support}")
         object.__setattr__(self, "support", (lo, hi))
-        if self.kind == "power_bump" and not lo <= p["center"] <= hi:
-            raise ValueError("power_bump center must lie inside the support")
 
     def values(self, x) -> np.ndarray:
         """Vectorized evaluation; zero outside the support."""
@@ -179,9 +178,12 @@ class DensityFamily:
         return ()
 
     def cusps(self) -> tuple:
-        """Points where the Holder exponent is below 1: a power_bump centre."""
+        """Points where the Holder exponent is below 1: a power_bump centre on
+        the closed support (off it, the bump is smooth on the support)."""
         p = self.parameters
-        return (p["center"],) if self.kind == "power_bump" and p["exponent"] < 1.0 else ()
+        lo, hi = self.support
+        cusp = self.kind == "power_bump" and p["exponent"] < 1.0 and lo <= p["center"] <= hi
+        return (p["center"],) if cusp else ()
 
     def to_dict(self) -> dict:
         return {

@@ -244,6 +244,64 @@ def test_a_ladder_shares_its_plan_exactly(measure, weight, data):
     assert in_order == after_other_data
 
 
+def _fields(rung) -> tuple:
+    """Every field of a TransformValue, floats by their bits; an exception
+    type as it is."""
+    if isinstance(rung, type):
+        return rung
+    value = complex(rung.value)
+    return (value.real.hex(), value.imag.hex(), rung.abs_error_estimate.hex(), rung.panels_used, rung.tolerance_met)
+
+
+@given(spectral_measures(), weight_functions(), st.data())
+@settings(max_examples=25)
+def test_rungs_of_one_plan_in_any_order_equal_fresh_rungs(measure, weight, data):
+    # the plan's seed grid and phi - c on it serve the rungs in whatever
+    # order they come, repeats included, bit for bit as a plan of their own
+    x0 = _draw_re_z(data, measure, weight)
+    ys = (1e-1, 1e-4, 1e-8, 1e-12, 1e-13, 0.0)
+    order = data.draw(st.lists(st.sampled_from(ys), min_size=len(ys), max_size=2 * len(ys)))
+    shared = [_fields(_rung(measure, weight, complex(x0, y))) for y in order]
+    fresh = []
+    for y in order:
+        ct._last_plan = None
+        fresh.append(_fields(_rung(measure, weight, complex(x0, y))))
+    assert shared == fresh
+
+
+def test_weighted_mass_between_rungs_leaves_the_ladder_its_grid(monkeypatch):
+    # weighted_mass integrates over a grid of its own; the ladder's next rung
+    # still finds its seed grid and phi - c on it in the plan
+    measure, weight = symmetric_cusp(0.3, 0.75, 1.5, 1.0)
+    ladder = [complex(0.3, y) for y in CUSP_LADDER]
+    calls = []
+
+    def counted(f):
+        def counting(self, x):
+            calls.append(f.__name__)
+            return f(self, x)
+
+        return counting
+
+    for cls, name in (WeightFunction, "values"), (SpectralMeasure, "density_values"):
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+
+    ct._last_plan = None
+    alone = [_fields(evaluate_offaxis(measure, weight, z)) for z in ladder]
+    ladder_calls = len(calls)
+    calls.clear()
+    weighted_mass(measure, weight)
+    mass_calls = len(calls)
+    calls.clear()
+    ct._last_plan = None
+    interleaved = []
+    for z in ladder:
+        interleaved.append(_fields(evaluate_offaxis(measure, weight, z)))
+        weighted_mass(measure, weight)
+    assert interleaved == alone
+    assert len(calls) == ladder_calls + len(ladder) * mass_calls
+
+
 def _reference_breakpoints(measure, weight, z):
     """The kernel's breakpoints as the grading loop gives them, rung by rung."""
     x0, y = z.real, z.imag
@@ -268,15 +326,16 @@ class _Breakpoints(Exception):
     pass
 
 
-def _raise_breakpoints(f, a, b, **kwargs):
-    raise _Breakpoints(sorted(kwargs["breakpoints"]))
+def _raise_breakpoints(a, b, breakpoints):
+    raise _Breakpoints(sorted(breakpoints))
 
 
 @given(spectral_measures(), weight_functions(), st.data())
 @settings(max_examples=25)
 def test_seeds_follow_the_grading_loop_at_every_y(measure, weight, data):
     x0 = _draw_re_z(data, measure, weight)
-    with mock.patch.object(ct, "integrate_adaptive", _raise_breakpoints):
+    ct._last_plan = None  # a plan holding a seed grid for these pole seeds would not build one
+    with mock.patch.object(ct, "seed_grid", _raise_breakpoints):
         for y in (1e-1, 1e-12, 1e-13, 1e-200, 5e-324, 0.0):
             z = complex(x0, y)
             try:
@@ -499,6 +558,31 @@ def test_split_additivity(lam, eps, log_y):
     ct = evaluate_offaxis(m, PLATEAU, z)
     budget = cn.abs_error_estimate + cf.abs_error_estimate + ct.abs_error_estimate + 1e-13
     assert abs(cn.value + cf.value - ct.value) <= budget
+
+
+@given(
+    st.floats(-0.5, 0.5),
+    st.floats(0.1, 1.0),
+    st.floats(0.5, 1.5),
+    st.none() | st.floats(-0.9, 0.9),
+    st.floats(0.05, 0.4),
+    st.floats(-4.0, -1.0),
+)
+@settings(max_examples=30)
+def test_a_split_cusp_adds_up(c, expo, level, lam, eps, log_y):
+    # a split cuts power_bump pieces away from their centre, and at lam = c
+    # right at it; each piece keeps the centre of the whole
+    lam = c if lam is None else lam
+    measure = SpectralMeasure(
+        (DensityFamily("power_bump", {"level": level, "exponent": expo, "center": c}, (-1.0, 1.0)),)
+    )
+    weight = WeightFunction("hat", {"center": 0.0, "half_width": 1.2})
+    sp = near_far_split(measure, lam, eps)
+    z = complex(lam, 10.0 ** log_y)
+    cn, cf, whole = (evaluate_offaxis(m, weight, z) for m in (sp.near, sp.far, measure))
+    budget = cn.abs_error_estimate + cf.abs_error_estimate + whole.abs_error_estimate + 1e-13
+    assert abs(cn.value + cf.value - whole.value) <= budget
+    assert abs(cf.value) <= far_bound(sp, weight) + cf.abs_error_estimate + 1e-12
 
 
 def test_far_bound_examples():

@@ -333,6 +333,30 @@ def test_embedding_dim_must_be_same_or_positive_integer(tmp_path, dim):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["quadrature_abs", "convergence", "oracle_rel_gap"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_tolerances_must_be_positive(tmp_path, capsys, key, value):
+    # a quadrature_abs of -1 used to run stone-density, every rung bisecting
+    # to about 2000 panels with tolerance_met false, and exit 0
+    cfg = write_config(tmp_path / "c.json", tolerances={key: value})
+    with pytest.raises(ConfigError, match=f"tolerances {key} must be positive"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["probe-limit", "compare-oracle", "stone-density"])
+@pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
+def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), f"--tolerance={value}"]) == 1
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, overrides",
     [
