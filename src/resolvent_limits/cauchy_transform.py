@@ -98,13 +98,6 @@ class SplitMeasure:
     eps: float
 
 
-def _phi_factory(measure: SpectralMeasure, weight: WeightFunction):
-    def phi(x: np.ndarray) -> np.ndarray:
-        return weight.values(x) ** 2 * measure.density_values(x)
-
-    return phi
-
-
 def _piece_edges(measure: SpectralMeasure, weight: WeightFunction, cuts: tuple = ()) -> list:
     """Edges of the pieces of the hull of {w^2 rho != 0}: the hull's ends and
     the structure points (support edges, kinks, cusps) and ``cuts`` inside it.
@@ -161,7 +154,6 @@ class _Plan:
             e == x0 and abs(a - b) > FREEZE * max(abs(a), abs(b)) for e, b, a in zip(edges, below, above)
         )
         self.inner = np.array(edges[1:-1])
-        self.phi = _phi_factory(measure, weight)
 
         # toward a cusp the seeds go down to one grading step above the freeze
         # width there (nearer in, node rounding swamps the panel error
@@ -176,6 +168,11 @@ class _Plan:
                 self.breaks += seeds
                 if e == p:
                     self.poles.append((e, side, step, stop))
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        """w^2 rho at the nodes x."""
+        measure, weight, _ = self.key
+        return weight.values(x) ** 2 * measure.density_values(x)
 
     def numerator(self, x: np.ndarray) -> np.ndarray:
         """phi - c at the nodes x, c the value of the piece holding each node."""
@@ -317,17 +314,19 @@ def weighted_mass(
 ) -> tuple:
     """Total mass of w^2 d mu: quadrature over densities plus atom terms.
 
-    Returns (value, error_estimate).
+    The seed grid is a kernel plan's with no cut and no pole (Re z = -inf):
+    the piece edges and the seeds graded into the cusps.  The plan is built
+    apart from the one a ladder keeps.  Returns (value, error_estimate).
     """
+    plan = _Plan(measure, weight, -math.inf)
     total = 0.0
     err = 0.0
-    edges = _piece_edges(measure, weight)
-    if edges:
-        grid = seed_grid(edges[0], edges[-1], edges[1:-1])
-        res = integrate_adaptive(_phi_factory(measure, weight), grid, abs_tol=abs_tol)
+    if plan.edges:
+        grid = seed_grid(plan.edges[0], plan.edges[-1], plan.breaks)
+        res = integrate_adaptive(plan.phi, grid, abs_tol=abs_tol)
         total, err = res.value.real, res.error
-    for atom in measure.atoms:
-        total += atom.mass * weight(atom.location) ** 2
+    for _, mw in plan.atoms:
+        total += mw
     return float(total), float(err)
 
 

@@ -4,7 +4,8 @@ Commands
 --------
 probe-limit     drive limit_probe along the configured y-schedule
                 (exit 0 on a CONVERGES/DIVERGES verdict, 2 on INCONCLUSIVE)
-compare-oracle  matrix-model quadratic form against the quadrature transform
+compare-oracle  identity model's discrete transform (its trace) against the
+                quadrature transform
                 (exit 0 iff every non-skipped relative gap meets tolerance,
                 else 2; rows with y below 10x the local grid spacing are
                 reported as SKIPPED)
@@ -12,14 +13,12 @@ compactness     singular values of the damped rigging model plus tail sups
 stone-density   spectral density from (1/pi) Im C(lam + iy) with y -> 0 fit
 holder-fit      local Holder exponent fit of the configured density or weight
 
-Common flags: --config PATH (required), --out DIR, --seed INT.
-probe-limit, compare-oracle and stone-density also take --tolerance FLOAT.
-Flag values override the corresponding config fields (--tolerance maps to
-the command's decision tolerance).
+Usage: resolvent-limits COMMAND --config PATH [--out DIR]   (DIR: out)
 
-The config file is JSON; the full schema with defaults is documented in the
-repository README.  Runs are deterministic: a fixed config produces
-byte-identical outputs.
+The config file is a run's only input: no flag overrides a config value, and
+the loaded config is frozen.  It is JSON; the full schema with defaults is
+documented in the repository README.  Runs are deterministic: a fixed config
+produces byte-identical outputs.
 
 Each command is a function of the config alone.  It returns its summary
 line, its exit code and its outputs: a map from file suffix to a JSON
@@ -41,11 +40,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from .cauchy_transform import evaluate_offaxis
 from .errors import ConfigError, DegenerateSamples, ResolventLimitsError
@@ -86,7 +83,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     quadrature_abs: float = DEFAULT_ABS_TOL
     convergence: float = 1e-6
@@ -99,7 +96,7 @@ class Tolerances:
                 raise ConfigError(f"tolerances {name} must be positive, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     measure: SpectralMeasure
     weight: WeightFunction
@@ -319,9 +316,7 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
 def cmd_compare_oracle(cfg: ExperimentConfig) -> tuple:
     if cfg.embedding_dim != SAME:
         raise ConfigError("compare-oracle requires the identity embedding (embedding_dim='same')")
-    model = discretize(cfg.measure, cfg.weight, cfg.n, SAME, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    u = rng.choice([-1.0, 1.0], size=model.size) * (model.weights > 0)
+    model = discretize(cfg.measure, cfg.weight, cfg.n, SAME)
     floor = resolution_floor(model, cfg.lam)
 
     rows = []
@@ -329,7 +324,7 @@ def cmd_compare_oracle(cfg: ExperimentConfig) -> tuple:
     checked = 0
     for y in cfg.schedule.values:
         z = complex(cfg.lam, y)
-        form = quadratic_form(model, z, u)
+        form = quadratic_form(model, z)
         tv = evaluate_offaxis(cfg.measure, cfg.weight, z, abs_tol=cfg.tolerances.quadrature_abs)
         gap = abs(form - tv.value) / max(abs(tv.value), 1e-300)
         skipped = y < floor
@@ -433,36 +428,15 @@ _COMMANDS = {
     "holder-fit": cmd_holder_fit,
 }
 
-# which decision tolerance --tolerance overrides; other commands have none
-_TOL_TARGET = {
-    "probe-limit": "convergence",
-    "compare-oracle": "oracle_rel_gap",
-    "stone-density": "quadrature_abs",
-}
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resolvent-limits",
         description="Boundary-limit experiments for sandwiched resolvents",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        if name in _TOL_TARGET:
-            p.add_argument(
-                "--tolerance", type=_finite, default=None, help="override the decision tolerance"
-            )
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON experiment config, the run's only input")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
@@ -470,10 +444,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if getattr(args, "tolerance", None) is not None:
-            cfg.tolerances = replace(cfg.tolerances, **{_TOL_TARGET[args.command]: args.tolerance})
         summary, code, outputs = _COMMANDS[args.command](cfg)
         _write_all(
             Path(args.out),

@@ -294,26 +294,13 @@ def regularized_resolvent(model: MatrixModel, z: complex, lam: float) -> Operato
     return _resolvent_sample(model, z, exclude=mask if np.any(mask) else None)
 
 
-def quadratic_form(model: MatrixModel, z: complex, u: np.ndarray | None = None) -> complex:
-    """<T_z u, u> without assembling T; the oracle-comparison scalar.
-
-    Default u is the all-ones indicator of {w_i > 0} (identity embedding
-    required), for which the form equals the discrete transform
-    ``sum w_i^2 mu_i / (x_i - z)`` over the support.
-    """
-    z = complex(z)
-    d2 = model.rigging_diagonal() ** 2
-    if u is None:
-        if model.embedding is not None:
-            raise ValueError("default test vector requires the identity embedding")
-        u = (model.weights > 0).astype(float)
-    u = np.asarray(u)
-    if model.embedding is None:
-        coeff = np.abs(u) ** 2
-    else:
-        v = model.embedding.conj().T @ u
-        coeff = np.abs(v) ** 2
-    return complex(np.sum(coeff * d2 / (model.nodes - z)))
+def quadratic_form(model: MatrixModel, z: complex) -> complex:
+    """The discrete transform ``sum w_i^2 mu_i / (x_i - z)`` of an identity
+    model, the oracle-comparison scalar: the trace of T_z, and <T_z u, u> for
+    every u with |u_i| = 1 on {w_i > 0}.  T is not assembled."""
+    if model.embedding is not None:
+        raise ValueError("quadratic_form requires the identity embedding")
+    return complex(np.sum(model.rigging_diagonal() ** 2 / (model.nodes - complex(z))))
 
 
 def resolution_floor(model: MatrixModel, lam: float) -> float:

@@ -614,3 +614,22 @@ def test_weighted_mass_flat():
     mass, err = weighted_mass(FLAT, PLATEAU)
     assert mass == pytest.approx(2.0, abs=1e-10)
     assert err < 1e-10
+
+
+def test_weighted_mass_grades_into_a_cusp(monkeypatch):
+    # the kernel's cusp seeds resolve 1.5 |x - 0.3|^0.75 up front; a grid of
+    # piece edges alone bisected one panel pair per call, 22 calls in all
+    calls = []
+    integrate = ct.integrate_adaptive
+
+    def counting(f, *args, **kwargs):
+        def g(x):
+            calls.append(x.size)
+            return f(x)
+
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(ct, "integrate_adaptive", counting)
+    mass, err = weighted_mass(*symmetric_cusp(0.3, 0.75, 1.5, 1.0))
+    assert len(calls) <= 2, calls
+    assert abs(mass - 12 / 7) <= err

@@ -32,6 +32,10 @@ SMOOTH_BUMP_THREE_EDGES = {
 }
 
 
+COMMANDS = ["probe-limit", "compare-oracle", "compactness", "stone-density", "holder-fit"]
+TOLERANCE_KEYS = ["quadrature_abs", "convergence", "oracle_rel_gap"]
+NON_FINITE_TOLERANCES = [(k, v) for k in TOLERANCE_KEYS for v in ("nan", "inf", "-inf")]
+
 ROOT = Path(__file__).resolve().parents[1]
 # the child processes import the same checkout as this process
 SRC = str(Path(resolvent_limits.__file__).resolve().parents[1])
@@ -52,9 +56,9 @@ def write_config(path, **overrides):
 
 
 def test_probe_limit_converges_exit_zero(tmp_path):
-    cfg = write_config(tmp_path / "c.json")
+    cfg = write_config(tmp_path / "c.json", tolerances={"convergence": 1e-4})
     out = tmp_path / "out"
-    assert main(["probe-limit", "--config", str(cfg), "--out", str(out), "--tolerance", "1e-4"]) == 0
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "t_limit_report.json").read_text())
     assert report["verdict"] == "CONVERGES"
     curve = (out / "t_limit_curve.csv").read_text().splitlines()
@@ -64,9 +68,9 @@ def test_probe_limit_converges_exit_zero(tmp_path):
 
 
 def test_probe_limit_report_gives_each_samples_accounting(tmp_path):
-    cfg = write_config(tmp_path / "c.json")
+    cfg = write_config(tmp_path / "c.json", tolerances={"convergence": 1e-4})
     out = tmp_path / "out"
-    main(["probe-limit", "--config", str(cfg), "--out", str(out), "--tolerance", "1e-4"])
+    main(["probe-limit", "--config", str(cfg), "--out", str(out)])
     for sample in json.loads((out / "t_limit_report.json").read_text())["samples"]:
         assert 0.0 <= sample["abs_error_estimate"] <= 1e-10
         assert sample["panels"] > 0 and sample["tolerance_met"] is True
@@ -104,12 +108,9 @@ def test_probe_limit_regularized_converges(tmp_path):
 
 
 def test_probe_limit_inconclusive_exit_two(tmp_path):
-    cfg = write_config(tmp_path / "c.json")
+    cfg = write_config(tmp_path / "c.json", tolerances={"convergence": 1e-30})
     out = tmp_path / "out"
-    code = main(
-        ["probe-limit", "--config", str(cfg), "--out", str(out), "--tolerance", "1e-30"]
-    )
-    assert code == 2
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 2
     report = json.loads((out / "t_limit_report.json").read_text())
     assert report["verdict"] == "INCONCLUSIVE"
 
@@ -137,27 +138,18 @@ def test_epsilon_key_is_gone(tmp_path):
         load_config(cfg)
 
 
-@pytest.mark.parametrize("command", ["compactness", "holder-fit"])
-def test_tolerance_is_a_usage_error_where_it_sets_nothing(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_override_flags_are_usage_errors(tmp_path, capsys, command):
+    # the config is a run's only input: --seed and --tolerance used to
+    # override its seed and a command's decision tolerance
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        main([command, "--config", str(cfg), "--out", str(out), "--tolerance", "1e-3"])
-    assert info.value.code == 2
-    assert "--tolerance" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_tolerance_flag_must_be_finite(tmp_path, capsys, value):
-    # --tolerance nan used to run a probe and write "tolerance": NaN
-    cfg = write_config(tmp_path / "c.json")
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        main(["probe-limit", "--config", str(cfg), "--out", str(out), f"--tolerance={value}"])
-    assert info.value.code == 2
-    assert "finite" in capsys.readouterr().err
-    assert not out.exists()
+    for flag, value in (("--seed", "3"), ("--tolerance", "1e-3")):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(cfg), "--out", str(out), flag, value])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_oracle_runs_and_skips(tmp_path):
@@ -172,6 +164,16 @@ def test_compare_oracle_runs_and_skips(tmp_path):
     statuses = [line.split(",")[-1] for line in table[2:]]
     assert "OK" in statuses
     assert "SKIPPED" in statuses  # tail of the schedule is below 10x spacing
+
+
+def test_compare_oracle_table_does_not_read_the_seed(tmp_path):
+    tables = []
+    for seed in (0, 7):
+        cfg = write_config(tmp_path / f"c{seed}.json", discretization={"n": 500, "embedding_dim": "same"}, seed=seed)
+        out = tmp_path / f"out{seed}"
+        assert main(["compare-oracle", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append((out / "t_oracle_table.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_compare_oracle_coarse_model_all_skipped(tmp_path):
@@ -281,21 +283,10 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
-    cfg = write_config(tmp_path / "c.json")
+    cfg = write_config(tmp_path / "c.json", tolerances={"convergence": 1e-4})
     out = tmp_path / "out"
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "resolvent_limits.cli",
-            "probe-limit",
-            "--config",
-            str(cfg),
-            "--out",
-            str(out),
-            "--tolerance",
-            "1e-4",
-        ],
+        [sys.executable, "-m", "resolvent_limits.cli", "probe-limit", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
         env=CHILD_ENV,
@@ -333,28 +324,19 @@ def test_embedding_dim_must_be_same_or_positive_integer(tmp_path, dim):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["quadrature_abs", "convergence", "oracle_rel_gap"])
-@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("key", TOLERANCE_KEYS)
+@pytest.mark.parametrize("value", [0.0, -1.0, -0.0])
 def test_tolerances_must_be_positive(tmp_path, capsys, key, value):
     # a quadrature_abs of -1 used to run stone-density, every rung bisecting
     # to about 2000 panels with tolerance_met false, and exit 0
     cfg = write_config(tmp_path / "c.json", tolerances={key: value})
     with pytest.raises(ConfigError, match=f"tolerances {key} must be positive"):
         load_config(cfg)
-    out = tmp_path / "out"
-    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "positive" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["probe-limit", "compare-oracle", "stone-density"])
-@pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
-def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
-    cfg = write_config(tmp_path / "c.json")
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out), f"--tolerance={value}"]) == 1
-    assert "must be positive" in capsys.readouterr().err
-    assert not out.exists()
+    for command in ("probe-limit", "compare-oracle", "stone-density"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -393,6 +375,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         ("atom", {"measure": {**FLAT_MEASURE, "atom": []}}),
         ("suport", {"weight": {**PLATEAU_WEIGHT, "suport": [-1.0, 1.0]}}),
         ("support", {"measure": {"ac_parts": [SMOOTH_BUMP_THREE_EDGES]}}),
+        *[(f"tolerances {k} must be a finite number", {"tolerances": {k: float(v)}}) for k, v in NON_FINITE_TOLERANCES],
     ],
     ids=[
         "regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float",
@@ -400,7 +383,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         "convergence-string", "s-bool", "radii-string", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
         "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
         "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
-        "weight-suport-typo", "support-three-edges",
+        "weight-suport-typo", "support-three-edges", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
     ],
 )
 def test_config_types_are_exact(tmp_path, key, overrides):

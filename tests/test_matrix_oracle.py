@@ -27,6 +27,8 @@ from resolvent_limits import (
     sandwiched_resolvent,
 )
 
+from conftest import weight_functions
+
 PLATEAU = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
 FLAT = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 1.0}, (-1.0, 1.0)),))
 
@@ -370,6 +372,34 @@ def test_quadratic_form_matches_transform():
     form = quadratic_form(model, z)
     tv = evaluate_offaxis(FLAT, PLATEAU, z)
     assert abs(form - tv.value) / abs(tv.value) < 1e-3
+
+
+def _signed_vector_form(model, z, seed):
+    """<T_z u, u> for a seeded +-1 test vector u on {w_i > 0}, as the oracle
+    formed it when it drew one: |u_i|^2 is 1 or 0, so no bit depends on u."""
+    u = np.random.default_rng(seed).choice([-1.0, 1.0], size=model.size) * (model.weights > 0)
+    return complex(np.sum(np.abs(u) ** 2 * model.rigging_diagonal() ** 2 / (model.nodes - complex(z))))
+
+
+def _hex(c: complex) -> tuple:
+    return c.real.hex(), c.imag.hex()
+
+
+@given(catalog_measures(), weight_functions(), st.floats(-1.5, 1.5), st.floats(-8.0, 0.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_the_oracle_is_the_samples_own_formula(case, weight, lam, log_y, seed):
+    measure, n = case
+    model = discretize(measure, weight, n)
+    z = complex(lam, 10.0 ** log_y)
+    form = quadratic_form(model, z)
+    assert _hex(form) == _hex(sandwiched_resolvent(model, z).trace)
+    assert _hex(form) == _hex(_signed_vector_form(model, z, seed))
+
+
+def test_quadratic_form_requires_the_identity():
+    model = discretize(FLAT, PLATEAU, 20, 5, seed=1)
+    with pytest.raises(ValueError, match="identity"):
+        quadratic_form(model, 0.1j)
 
 
 def test_seeded_embedding_deterministic_and_isometric():
