@@ -326,16 +326,24 @@ def test_embedding_dim_must_be_same_or_positive_integer(tmp_path, dim):
 
 @pytest.mark.parametrize("key", TOLERANCE_KEYS)
 @pytest.mark.parametrize("value", [0.0, -1.0, -0.0])
-def test_tolerances_must_be_positive(tmp_path, capsys, key, value):
+def test_tolerances_must_be_positive(tmp_path, key, value):
     # a quadrature_abs of -1 used to run stone-density, every rung bisecting
     # to about 2000 panels with tolerance_met false, and exit 0
     cfg = write_config(tmp_path / "c.json", tolerances={key: value})
     with pytest.raises(ConfigError, match=f"tolerances {key} must be positive"):
         load_config(cfg)
-    for command in ("probe-limit", "compare-oracle", "stone-density"):
-        out = tmp_path / command
+
+
+@pytest.mark.parametrize("command", ["probe-limit", "compare-oracle", "stone-density"])
+@pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
+def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
+    # the tolerances once overridden by --tolerance are set in the config only;
+    # each command refuses a non-positive one, whichever it reads, before writing
+    for key in TOLERANCE_KEYS:
+        cfg = write_config(tmp_path / f"{key}.json", tolerances={key: float(value)})
+        out = tmp_path / key
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-        assert "positive" in capsys.readouterr().err
+        assert f"{key} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
 
