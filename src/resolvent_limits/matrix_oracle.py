@@ -4,14 +4,17 @@ A model keeps the operator in its spectral representation: ``H`` is diagonal
 on real nodes, the rigging factor is ``F = J diag(w_i sqrt(mu_i))`` with ``J``
 an isometric-row embedding (``None`` for the identity, otherwise an m x n
 matrix with orthonormal rows; ``discretize`` draws a seeded one).  The node,
-mass, weight and flag arrays plus ``J`` are the whole model.  A sample
-``T_z = F (H - z)^{-1} F*`` is ``J diag(w_i^2 mu_i / (x_i - z)) J*``, and no
-n x n array is ever formed for it.  For the identity the sample is the
-diagonal alone, and its norm, differences and trace are ``max |d|`` and
-``sum d``.  For an embedding the m x m product is formed once, when the
-sample is taken, and its norm, trace and distance to other samples are read
-from that one matrix.  No linear solves: resolvent application on a diagonal
-model is exact arithmetic, which keeps rate fits clean.
+mass, weight and flag arrays plus ``J`` are the whole model; it also carries
+its spectral weights ``c_i = w_i^2 mu_i``, squared once when it is built.  A
+sample ``T_z = F (H - z)^{-1} F*`` is ``J diag(c_i / (x_i - z)) J*``, its
+diagonal one division over the nodes (the regularized sample divides only
+the kept ones), and no n x n array is ever formed for it.  For the identity
+the sample is the diagonal alone, and its norm, differences and trace are
+``max |d|`` and ``sum d``.  For an embedding the m x m product is formed
+once, when the sample is taken, and its norm, trace and distance to other
+samples are read from that one matrix.  No linear solves: resolvent
+application on a diagonal model is exact arithmetic, which keeps rate fits
+clean.
 
 Atom nodes carry the exact eigenvalue coordinate and mass and are marked by
 ``atom_flags``; matching is exact float equality, never a tolerance, because
@@ -22,7 +25,7 @@ eigenvalue); continuum nodes are strictly increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +55,8 @@ class MatrixModel:
     weights: np.ndarray
     atom_flags: np.ndarray
     embedding: np.ndarray | None = None  # None is the identity
+    # w_i^2 mu_i, what every sample divides; set from the arrays above
+    spectral_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -62,20 +67,18 @@ class MatrixModel:
         if not (masses.size == weights.size == flags.size == n):
             raise ValueError("nodes, masses, weights, atom_flags must share length")
         for name, arr in (("nodes", nodes), ("masses", masses), ("weights", weights)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if np.any(masses <= 0):
+        if (masses <= 0).any():
             raise ValueError("masses must be strictly positive")
-        if np.any(weights < 0):
+        if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
-        if np.any(np.diff(nodes) < 0):
+        steps = np.diff(nodes)
+        if (steps < 0).any():
             raise ValueError("nodes must be sorted")
-        dup = np.diff(nodes) == 0
-        if np.any(dup):
-            first = np.flatnonzero(dup)
-            ok = flags[first] & flags[first + 1]
-            if not np.all(ok):
-                raise ValueError("equal node coordinates are allowed only for atom nodes")
+        first = np.flatnonzero(steps == 0)
+        if not (flags[first] & flags[first + 1]).all():
+            raise ValueError("equal node coordinates are allowed only for atom nodes")
         arrays = [("nodes", nodes), ("masses", masses), ("weights", weights), ("atom_flags", flags)]
         if self.embedding is not None:
             emb = np.asarray(self.embedding)
@@ -88,6 +91,9 @@ class MatrixModel:
         for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        c = self.rigging_diagonal() ** 2
+        c.setflags(write=False)
+        object.__setattr__(self, "spectral_weights", c)
 
     @property
     def size(self) -> int:
@@ -115,7 +121,7 @@ def _factored(J: np.ndarray | None, v: np.ndarray) -> np.ndarray:
 
 def _max_abs(v: np.ndarray) -> float:
     """Operator norm of diag(v)."""
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ class OperatorSample:
     @property
     def trace(self) -> complex:
         if self.product is None:
-            return complex(np.sum(self.diag))
+            return complex(self.diag.sum())
         return complex(np.trace(self.product))
 
     def distance(self, other: OperatorSample) -> float:
@@ -233,14 +239,23 @@ def discretize(
     return MatrixModel(nodes=nodes, masses=mus, weights=weight.values(nodes), atom_flags=flags, embedding=J)
 
 
-def _resolvent_sample(model: MatrixModel, z: complex, exclude: np.ndarray | None) -> OperatorSample:
+def _off_nodes(model: MatrixModel, z: complex, keep: np.ndarray | None = None) -> complex:
+    """``z`` as a complex; real z on a node (a kept one, with a mask) raises."""
     z = complex(z)
-    keep = np.ones(model.size, dtype=bool) if exclude is None else ~exclude
-    if z.imag == 0.0 and np.any(model.nodes[keep] == z.real):
-        raise NonrealRequired(f"z={z} lies on a model node")
-    diag = np.zeros(model.size, dtype=complex)
-    d = model.rigging_diagonal()
-    diag[keep] = d[keep] ** 2 / (model.nodes[keep] - z)
+    if z.imag == 0.0:
+        hit = model.nodes == z.real
+        if np.any(hit if keep is None else hit & keep):
+            raise NonrealRequired(f"z={z} lies on a model node")
+    return z
+
+
+def _resolvent_sample(model: MatrixModel, z: complex, keep: np.ndarray | None) -> OperatorSample:
+    z = _off_nodes(model, z, keep)
+    if keep is None:
+        diag = model.spectral_weights / (model.nodes - z)
+    else:
+        # excluded nodes stay 0 and are never divided, so real z may sit on them
+        diag = np.divide(model.spectral_weights, model.nodes - z, out=np.zeros(model.size, complex), where=keep)
     diag.setflags(write=False)
     if model.embedding is None:
         return OperatorSample(z=z, diag=diag, product=None, norm=_max_abs(diag))
@@ -255,7 +270,7 @@ def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
     Real z is rejected only when it hits a node exactly; between nodes it is
     permitted, though outside the Im z != 0 contract.
     """
-    return _resolvent_sample(model, z, exclude=None)
+    return _resolvent_sample(model, z, keep=None)
 
 
 def operator_norm(T: np.ndarray) -> float:
@@ -277,7 +292,7 @@ def eigen_contribution(model: MatrixModel, lam: float) -> tuple:
     mask = model.atom_mask(lam)
     if not np.any(mask):
         raise NoAtomAtLambda(f"no flagged atom node at lam={lam!r}")
-    v = np.where(mask, model.rigging_diagonal() ** 2, 0.0)
+    v = np.where(mask, model.spectral_weights, 0.0)
     E = _factored(model.embedding, v)
     return E, _max_abs(v) if model.embedding is None else operator_norm(E)
 
@@ -290,17 +305,17 @@ def regularized_resolvent(model: MatrixModel, z: complex, lam: float) -> Operato
     exactly sandwiched_resolvent; real z is then allowed even at lam itself
     as long as no remaining node is hit.
     """
-    mask = model.atom_mask(lam)
-    return _resolvent_sample(model, z, exclude=mask if np.any(mask) else None)
+    return _resolvent_sample(model, z, keep=~model.atom_mask(lam))
 
 
 def quadratic_form(model: MatrixModel, z: complex) -> complex:
     """The discrete transform ``sum w_i^2 mu_i / (x_i - z)`` of an identity
     model, the oracle-comparison scalar: the trace of T_z, and <T_z u, u> for
-    every u with |u_i| = 1 on {w_i > 0}.  T is not assembled."""
+    every u with |u_i| = 1 on {w_i > 0}.  T is not assembled.  Real z on a
+    node raises NonrealRequired, as it does for the sample."""
     if model.embedding is not None:
         raise ValueError("quadratic_form requires the identity embedding")
-    return complex(np.sum(model.rigging_diagonal() ** 2 / (model.nodes - complex(z))))
+    return complex((model.spectral_weights / (model.nodes - _off_nodes(model, z))).sum())
 
 
 def resolution_floor(model: MatrixModel, lam: float) -> float:

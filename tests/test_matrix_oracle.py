@@ -226,6 +226,20 @@ def test_on_axis_between_nodes_flagged():
         sandwiched_resolvent(model, 1.0 + 0.0j)
 
 
+@pytest.mark.parametrize("k", [0, 7, 18])
+def test_the_form_and_the_sample_share_one_guard_on_the_axis(k):
+    model = discretize(FLAT, PLATEAU, 20)
+    node = float(model.nodes[k])
+    for z in (node, complex(node, 0.0)):
+        with pytest.raises(NonrealRequired):
+            sandwiched_resolvent(model, z)
+        with pytest.raises(NonrealRequired):
+            quadratic_form(model, z)
+    # between nodes real z is allowed, and the form is the sample's trace
+    between = 0.5 * (node + float(model.nodes[k + 1]))
+    assert _hex(quadratic_form(model, between)) == _hex(sandwiched_resolvent(model, between).trace)
+
+
 def test_operator_norm_examples():
     assert operator_norm(np.eye(2)) == pytest.approx(1.0, rel=1e-12)
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, rel=1e-12)
@@ -372,6 +386,30 @@ def test_quadratic_form_matches_transform():
     form = quadratic_form(model, z)
     tv = evaluate_offaxis(FLAT, PLATEAU, z)
     assert abs(form - tv.value) / abs(tv.value) < 1e-3
+
+
+def _masked_diag(model, z, exclude):
+    """A sample's diagonal as it was built with a keep mask on every rung,
+    from w sqrt(mu) squared anew: the reference for the one division."""
+    keep = ~exclude
+    diag = np.zeros(model.size, dtype=complex)
+    d = model.rigging_diagonal()
+    diag[keep] = d[keep] ** 2 / (model.nodes[keep] - z)
+    return diag
+
+
+@given(catalog_measures(), weight_functions(), st.floats(-1.5, 1.5), st.floats(-8.0, 0.0), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_sample_is_the_masked_formula_bit_for_bit(case, weight, lam, log_y, at_atom):
+    measure, n = case
+    if at_atom and measure.atoms:
+        lam = measure.atoms[0].location
+    model = discretize(measure, weight, n)
+    z = complex(lam, 10.0**log_y)
+    plain = sandwiched_resolvent(model, z).diag
+    regularized = regularized_resolvent(model, z, lam).diag
+    assert plain.tobytes() == _masked_diag(model, z, np.zeros(model.size, bool)).tobytes()
+    assert regularized.tobytes() == _masked_diag(model, z, model.atom_mask(lam)).tobytes()
 
 
 def _signed_vector_form(model, z, seed):
@@ -523,6 +561,33 @@ def test_embedded_probe_forms_one_product_per_rung(monkeypatch):
         report = limit_probe(ev, 0.1, sched)
         assert len(report.samples) == 10
         assert len(calls) == 10  # norm, trace and distance read the one product
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_a_model_squares_its_rigging_once(monkeypatch, n):
+    # every rung, the form and the eigen term read the model's own w^2 mu
+    rigging, calls = MatrixModel.rigging_diagonal, []
+
+    def counted(self):
+        calls.append(self.size)
+        return rigging(self)
+
+    monkeypatch.setattr(MatrixModel, "rigging_diagonal", counted)
+    measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.1, 0.7),))
+    sched = YSchedule(y_max=1e-2, y_min=1e-2 * 0.5**9, ratio=0.5)
+    for regularize in (False, True):
+        calls.clear()
+        model = discretize(measure, PLATEAU, n)
+        if regularize:
+            report = limit_probe(lambda z: regularized_resolvent(model, z, 0.1), 0.1, sched)
+        else:
+            report = limit_probe(lambda z: sandwiched_resolvent(model, z), 0.1, sched)
+        quadratic_form(model, 0.3j)
+        eigen_contribution(model, 0.1)
+        assert len(report.samples) == 10
+        assert calls == [model.size]
+        assert not model.spectral_weights.flags.writeable
+        assert np.array_equal(model.spectral_weights, model.rigging_diagonal() ** 2)
 
 
 def test_embedded_sample_keeps_its_product_read_only():
