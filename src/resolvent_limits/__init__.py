@@ -10,7 +10,6 @@ from .errors import (
     AtomAtProbe,
     ConfigError,
     DegenerateFit,
-    DegenerateSamples,
     EvaluatorFailure,
     InvalidExponent,
     NoAtomAtLambda,
@@ -19,16 +18,7 @@ from .errors import (
     ResolventLimitsError,
     TooFewNodes,
 )
-from .spectral_model import (
-    Atom,
-    DensityFamily,
-    HolderEstimate,
-    SpectralMeasure,
-    WeightFunction,
-    estimate_holder,
-    geometric_radii,
-    holder_increments,
-)
+from .spectral_model import Atom, DensityFamily, SpectralMeasure, WeightFunction
 from .cauchy_transform import (
     SplitMeasure,
     TransformValue,
@@ -56,12 +46,16 @@ from .limit_analysis import (
     DIVERGES,
     INCONCLUSIVE,
     CompactnessReport,
+    HolderEstimate,
     LimitReport,
     ProbeSample,
     StoneDensityResult,
     YSchedule,
     compactness_probe,
+    estimate_holder,
     fit_divergence_rate,
+    geometric_radii,
+    holder_increments,
     limit_probe,
     stone_density,
 )

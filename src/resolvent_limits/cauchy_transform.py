@@ -288,20 +288,22 @@ def near_far_split(measure: SpectralMeasure, lam: float, eps: float) -> SplitMea
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    near_parts = measure.restricted(lam - eps, lam + eps).ac_parts
-    far_parts = []
+    cut_lo, cut_hi = lam - eps, lam + eps
+    near_parts, far_parts = [], []
     for part in measure.ac_parts:
         lo, hi = part.support
-        for nlo, nhi in ((lo, min(hi, lam - eps)), (max(lo, lam + eps), hi)):
-            if nlo < nhi:
-                far_parts.append(
-                    type(part)(part.kind, dict(part.parameters), (nlo, nhi))
-                )
+        for pieces, a, b in (
+            (far_parts, lo, min(hi, cut_lo)),
+            (near_parts, max(lo, cut_lo), min(hi, cut_hi)),
+            (far_parts, max(lo, cut_hi), hi),
+        ):
+            if a < b:
+                pieces.append(type(part)(part.kind, part.parameters, (a, b)))
     near_atoms = tuple(a for a in measure.atoms if abs(a.location - lam) < eps)
     far_atoms = tuple(a for a in measure.atoms if abs(a.location - lam) >= eps)
     return SplitMeasure(
         near=SpectralMeasure(ac_parts=near_parts, atoms=near_atoms),
-        far=SpectralMeasure(ac_parts=tuple(far_parts), atoms=far_atoms),
+        far=SpectralMeasure(ac_parts=far_parts, atoms=far_atoms),
         lam=float(lam),
         eps=float(eps),
     )

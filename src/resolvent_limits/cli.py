@@ -45,12 +45,16 @@ from functools import partial
 from pathlib import Path
 
 from .cauchy_transform import evaluate_offaxis
-from .errors import ConfigError, DegenerateSamples, ResolventLimitsError
+from .errors import ConfigError, DegenerateFit, ResolventLimitsError
 from .limit_analysis import (
     CONVERGES,
     DIVERGES,
+    HolderEstimate,
     YSchedule,
     compactness_probe,
+    estimate_holder,
+    geometric_radii,
+    holder_increments,
     limit_probe,
     stone_density,
 )
@@ -63,16 +67,7 @@ from .matrix_oracle import (
     sandwiched_resolvent,
 )
 from .quadrature import DEFAULT_ABS_TOL
-from .spectral_model import (
-    HolderEstimate,
-    SpectralMeasure,
-    WeightFunction,
-    estimate_holder,
-    geometric_radii,
-    holder_increments,
-    read_number,
-    read_object,
-)
+from .spectral_model import SpectralMeasure, WeightFunction, read_number, read_object
 
 __all__ = ["main", "ExperimentConfig", "load_config"]
 
@@ -406,7 +401,7 @@ def cmd_holder_fit(cfg: ExperimentConfig) -> tuple:
     doc = {"degenerate": False, "point": point, "target": cfg.holder_target}
     try:
         doc.update(asdict(estimate_holder(point, radii, incs)))
-    except DegenerateSamples as exc:
+    except DegenerateFit as exc:
         doc.update(dict.fromkeys(k.name for k in fields(HolderEstimate)), degenerate=True)
         doc["note"] = f"{exc}; locally constant data, treat exponent as 1"
     alpha = "degenerate" if doc["degenerate"] else doc["alpha_hat"]

@@ -7,10 +7,6 @@ class ResolventLimitsError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DegenerateSamples(ResolventLimitsError):
-    """Raised when increments vanish for too many radii to fit an exponent."""
-
-
 class NonrealRequired(ResolventLimitsError):
     """Raised when an evaluation point must have a nonzero imaginary part."""
 
@@ -41,7 +37,8 @@ class EvaluatorFailure(ResolventLimitsError):
 
 
 class DegenerateFit(ResolventLimitsError):
-    """Raised when a rate fit is requested on constant data."""
+    """Raised when a rate fit is requested on constant data: equal norms, or
+    increments that vanish for too many radii to fit an exponent."""
 
 
 class InvalidExponent(ResolventLimitsError):

@@ -19,6 +19,11 @@ trace, which for the identity embedding equals the discrete transform value.
 The verdict order (divergence test first, tolerance-gated convergence second)
 guarantees that shrinking the tolerance can only demote CONVERGES to
 INCONCLUSIVE, never flip it to DIVERGES.
+
+Every rate here is a least-squares line through log-log data: the 1/y law of
+a probe's norms, the decay of its differences, and the local Holder exponent
+of a catalog function fitted from its two-sided increments
+(``estimate_holder``), the paper's condition on w^2 rho at lam.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ __all__ = [
     "fit_divergence_rate",
     "compactness_probe",
     "stone_density",
+    "HolderEstimate",
+    "geometric_radii",
+    "holder_increments",
+    "estimate_holder",
 ]
 
 CONVERGES = "CONVERGES"
@@ -104,10 +113,12 @@ class LimitReport:
 
 
 def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Least-squares line through (log xs, log ys): (slope, RMS residual,
+    intercept)."""
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), rms
+    return float(slope), rms, float(intercept)
 
 
 def _unpack(sample) -> tuple:
@@ -174,7 +185,7 @@ def limit_probe(
     increasing = np.all(norms[1:] >= norms[:-1] * (1.0 - 1e-9)) and norms[-1] > norms[0]
     norm_slope, norm_res = (0.0, 0.0)
     if increasing and np.all(norms > 0):
-        norm_slope, norm_res = _loglog_fit(ys, norms)
+        norm_slope, norm_res, _ = _loglog_fit(ys, norms)
 
     if increasing and norm_slope <= -0.5 and norm_res < 0.1:
         verdict = DIVERGES
@@ -183,7 +194,7 @@ def limit_probe(
     else:
         pos = diffs > 0
         if np.count_nonzero(pos) >= 2:
-            fitted_rate, rate_residual = _loglog_fit(ys[:-1][pos], diffs[pos])
+            fitted_rate, rate_residual, _ = _loglog_fit(ys[:-1][pos], diffs[pos])
         nonincreasing = np.all(diffs[1:] <= diffs[:-1] * 1.1 + 1e-300)
         if diffs.size and nonincreasing and diffs[-1] <= tolerance:
             verdict = CONVERGES
@@ -219,7 +230,7 @@ def fit_divergence_rate(norms: Sequence[float], ys: Sequence[float]) -> tuple:
         raise ValueError("norms and ys must be positive")
     if np.all(norms == norms[0]):
         raise DegenerateFit("all norms equal; slope undefined")
-    return _loglog_fit(ys, norms)
+    return _loglog_fit(ys, norms)[:2]
 
 
 @dataclass(frozen=True)
@@ -245,8 +256,8 @@ def compactness_probe(
     if s <= 0.5:
         raise InvalidExponent(f"decay exponent s={s} must exceed 1/2")
     radii = [float(r) for r in truncation_radii]
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("truncation radii must be positive and increasing")
+    if not radii or any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("truncation radii must be a nonempty, positive and increasing list")
 
     damp = (1.0 + np.abs(model.nodes)) ** (-s)
     diag = model.rigging_diagonal() * damp
@@ -295,4 +306,66 @@ def stone_density(
     return StoneDensityResult(
         density_estimates=tuple(float(v) for v in estimates),
         extrapolated=float(coeffs[1]),
+    )
+
+
+@dataclass(frozen=True)
+class HolderEstimate:
+    """Fitted local Holder data: |f(x) - f(lam)| ~ constant * |x - lam|^alpha.
+
+    ``alpha_hat`` is the least-squares slope of log-increments against
+    log-radius, capped at 1.5; nonpositive values indicate the samples do not
+    look Holder at all and are rejected by downstream consumers.
+    """
+
+    alpha_hat: float
+    constant_hat: float
+    fit_window: tuple
+    residual: float
+
+
+def geometric_radii(r_max: float = 0.125, ratio: float = 0.5, count: int = 10) -> tuple:
+    """Strictly decreasing geometric radius ladder for estimate_holder."""
+    if not (0 < ratio < 1 and r_max > 0 and count >= 1):
+        raise ValueError("need r_max > 0, 0 < ratio < 1, count >= 1")
+    return tuple(r_max * ratio ** k for k in range(count))
+
+
+def holder_increments(f: Callable[[float], float], lam: float, radii: Sequence[float]) -> np.ndarray:
+    """Two-sided increment (|f(lam + r) - f(lam)| + |f(lam - r) - f(lam)|) / 2
+    for each radius r."""
+    f0 = float(f(lam))
+    return np.array([0.5 * (abs(float(f(lam + r)) - f0) + abs(float(f(lam - r)) - f0)) for r in radii])
+
+
+def estimate_holder(lam: float, radii: Sequence[float], increments: Sequence[float]) -> HolderEstimate:
+    """Fit a local Holder exponent at ``lam`` from the two-sided increments
+    that ``holder_increments`` gives at ``radii``.
+
+    The slope of log-increment against log-radius is the exponent, the
+    exponentiated intercept the constant.
+
+    Raises DegenerateFit when more than half the radii produce zero
+    increment (locally constant data; callers treat the exponent as 1).
+    """
+    radii = [float(r) for r in radii]
+    if len(radii) < 8:
+        raise ValueError("need at least 8 radii")
+    if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be positive and strictly decreasing")
+
+    incs = np.asarray(increments, dtype=float)
+    if incs.shape != (len(radii),):
+        raise ValueError(f"need one increment per radius, got {incs.shape} for {len(radii)} radii")
+    zero = incs == 0.0
+    if np.count_nonzero(zero) > len(radii) / 2:
+        raise DegenerateFit(f"{np.count_nonzero(zero)} of {len(radii)} increments vanish at lam={lam}")
+
+    rs = np.array(radii)[~zero]
+    slope, residual, intercept = _loglog_fit(rs, incs[~zero])
+    return HolderEstimate(
+        alpha_hat=min(slope, 1.5),
+        constant_hat=float(np.exp(intercept)),
+        fit_window=(float(rs.min()), float(rs.max())),
+        residual=residual,
     )

@@ -6,6 +6,8 @@ quadrature layer place panel breakpoints at the exact kink/cusp locations of
 each family and grade its panels toward the cusps (``cusps()``).  Every family
 is continuous on its closed support, so w^2 rho can jump only at a support
 edge; whether it does at a probe point is the transform kernel's question.
+Fitting a Holder exponent from a family's increments is a rate fit, and lives
+with the others in ``limit_analysis``.
 
 Density catalog (``DensityFamily.kind``):
 
@@ -36,21 +38,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSamples
+from .errors import ConfigError
 
 __all__ = [
     "DensityFamily",
     "SpectralMeasure",
     "WeightFunction",
     "Atom",
-    "HolderEstimate",
-    "estimate_holder",
-    "geometric_radii",
-    "holder_increments",
     "read_number",
     "read_object",
 ]
@@ -112,8 +109,23 @@ def _freeze_params(family, table: dict) -> None:
     object.__setattr__(family, "parameters", params)
 
 
+class _Family:
+    """What a density piece and a weight share: the value at one point and
+    the serialized form.  Each family defines its own vectorized ``values``."""
+
+    def __call__(self, x: float) -> float:
+        return float(self.values(np.asarray([x]))[0])
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "parameters": dict(self.parameters),
+            "support": list(self.support),
+        }
+
+
 @dataclass(frozen=True)
-class DensityFamily:
+class DensityFamily(_Family):
     """One absolutely continuous density piece from the parametric catalog."""
 
     kind: str
@@ -165,9 +177,6 @@ class DensityFamily:
                 raw[core] = p["level"] * np.exp(1.0 - 1.0 / (1.0 - t[core] ** 2))
         return np.where(inside, raw, 0.0)
 
-    def __call__(self, x: float) -> float:
-        return float(self.values(np.asarray([x]))[0])
-
     def breakpoints(self) -> tuple:
         """Interior kink/cusp locations the quadrature should split at."""
         if self.kind == "power_bump":
@@ -184,13 +193,6 @@ class DensityFamily:
         lo, hi = self.support
         cusp = self.kind == "power_bump" and p["exponent"] < 1.0 and lo <= p["center"] <= hi
         return (p["center"],) if cusp else ()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": dict(self.parameters),
-            "support": list(self.support),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DensityFamily":
@@ -251,16 +253,6 @@ class SpectralMeasure:
         """Cusps of the parts: where a part's Holder exponent is below 1."""
         return tuple(c for part in self.ac_parts for c in part.cusps())
 
-    def restricted(self, lo: float, hi: float) -> "SpectralMeasure":
-        """Densities truncated to [lo, hi]; atoms are NOT filtered here."""
-        parts = []
-        for part in self.ac_parts:
-            a, b = part.support
-            na, nb = max(a, lo), min(b, hi)
-            if na < nb:
-                parts.append(DensityFamily(part.kind, dict(part.parameters), (na, nb)))
-        return SpectralMeasure(ac_parts=tuple(parts), atoms=())
-
     def to_dict(self) -> dict:
         return {
             "ac_parts": [p.to_dict() for p in self.ac_parts],
@@ -281,7 +273,7 @@ class SpectralMeasure:
 
 
 @dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(_Family):
     """Compactly supported weight from the parametric catalog."""
 
     kind: str
@@ -322,9 +314,6 @@ class WeightFunction:
             raw = np.ones_like(x)
         return np.where(inside, raw, 0.0)
 
-    def __call__(self, x: float) -> float:
-        return float(self.values(np.asarray([x]))[0])
-
     def breakpoints(self) -> tuple:
         if self.kind in ("hat", "power_hat"):
             return (self.parameters["center"],)
@@ -335,13 +324,6 @@ class WeightFunction:
         p = self.parameters
         return (p["center"],) if self.kind == "power_hat" and p["exponent"] < 1.0 else ()
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": dict(self.parameters),
-            "support": list(self.support),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "WeightFunction":
         d = read_object("weight", d, ("kind", "parameters", "support"))
@@ -349,71 +331,3 @@ class WeightFunction:
         if "support" in d and tuple(read_number("weight support", v) for v in d["support"]) != w.support:
             raise ValueError("serialized weight support does not match its parameters")
         return w
-
-
-@dataclass(frozen=True)
-class HolderEstimate:
-    """Fitted local Holder data: |f(x) - f(lam)| ~ constant * |x - lam|^alpha.
-
-    ``alpha_hat`` is the least-squares slope of log-increments against
-    log-radius, capped at 1.5; nonpositive values indicate the samples do not
-    look Holder at all and are rejected by downstream consumers.
-    """
-
-    alpha_hat: float
-    constant_hat: float
-    fit_window: tuple
-    residual: float
-
-
-def geometric_radii(r_max: float = 0.125, ratio: float = 0.5, count: int = 10) -> tuple:
-    """Strictly decreasing geometric radius ladder for estimate_holder."""
-    if not (0 < ratio < 1 and r_max > 0 and count >= 1):
-        raise ValueError("need r_max > 0, 0 < ratio < 1, count >= 1")
-    return tuple(r_max * ratio ** k for k in range(count))
-
-
-def holder_increments(f: Callable[[float], float], lam: float, radii: Sequence[float]) -> np.ndarray:
-    """Two-sided increment (|f(lam + r) - f(lam)| + |f(lam - r) - f(lam)|) / 2
-    for each radius r."""
-    f0 = float(f(lam))
-    return np.array([0.5 * (abs(float(f(lam + r)) - f0) + abs(float(f(lam - r)) - f0)) for r in radii])
-
-
-def estimate_holder(lam: float, radii: Sequence[float], increments: Sequence[float]) -> HolderEstimate:
-    """Fit a local Holder exponent at ``lam`` from the two-sided increments
-    that ``holder_increments`` gives at ``radii``.
-
-    The slope of log-increment against log-radius is the exponent, the
-    exponentiated intercept the constant.
-
-    Raises DegenerateSamples when more than half the radii produce zero
-    increment (locally constant data; callers treat the exponent as 1).
-    """
-    radii = [float(r) for r in radii]
-    if len(radii) < 8:
-        raise ValueError("need at least 8 radii")
-    if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly decreasing")
-
-    incs = np.asarray(increments, dtype=float)
-    if incs.shape != (len(radii),):
-        raise ValueError(f"need one increment per radius, got {incs.shape} for {len(radii)} radii")
-    zero = incs == 0.0
-    if np.count_nonzero(zero) > len(radii) / 2:
-        raise DegenerateSamples(
-            f"{np.count_nonzero(zero)} of {len(radii)} increments vanish at lam={lam}"
-        )
-
-    rs = np.array(radii)[~zero]
-    ds = incs[~zero]
-    logr, logd = np.log(rs), np.log(ds)
-    slope, intercept = np.polyfit(logr, logd, 1)
-    fitted = slope * logr + intercept
-    residual = float(np.sqrt(np.mean((logd - fitted) ** 2)))
-    return HolderEstimate(
-        alpha_hat=float(min(slope, 1.5)),
-        constant_hat=float(np.exp(intercept)),
-        fit_window=(float(rs.min()), float(rs.max())),
-        residual=residual,
-    )

@@ -543,6 +543,42 @@ def test_near_far_split_atom_routing():
     assert sp.far.atoms == (Atom(0.5, 1.0),)  # open near zone: boundary atom is far
 
 
+def _two_pass_split(measure, lam, eps):
+    """The split as it was built before it cut each part in one loop: the
+    near parts by truncating every part to [lam - eps, lam + eps], then the
+    far parts by a second pass over the parts.  Kept as the reference."""
+    lo, hi = lam - eps, lam + eps
+    near = []
+    for part in measure.ac_parts:
+        a, b = part.support
+        na, nb = max(a, lo), min(b, hi)
+        if na < nb:
+            near.append(DensityFamily(part.kind, dict(part.parameters), (na, nb)))
+    far = []
+    for part in measure.ac_parts:
+        a, b = part.support
+        for nlo, nhi in ((a, min(b, lam - eps)), (max(a, lam + eps), b)):
+            if nlo < nhi:
+                far.append(type(part)(part.kind, dict(part.parameters), (nlo, nhi)))
+    return near, far
+
+
+def _piece_bits(parts) -> list:
+    return [(p.kind, {k: v.hex() for k, v in p.parameters.items()}, [v.hex() for v in p.support]) for p in parts]
+
+
+@given(spectral_measures(max_parts=4), st.floats(-2.5, 2.5), st.floats(1e-3, 2.0))
+@settings(max_examples=200)
+def test_split_cuts_parts_as_the_two_pass_construction(measure, lam, eps):
+    # smooth_bump pieces clip to their natural support, and power_bump pieces
+    # may be cut away from their centre: each piece must come out the same
+    near, far = _two_pass_split(measure, lam, eps)
+    sp = near_far_split(measure, lam, eps)
+    assert _piece_bits(sp.near.ac_parts) == _piece_bits(near)
+    assert _piece_bits(sp.far.ac_parts) == _piece_bits(far)
+    assert sp.near.atoms + sp.far.atoms == tuple(sorted(measure.atoms, key=lambda a: abs(a.location - lam) >= eps))
+
+
 @given(st.floats(-0.7, 0.7), st.floats(0.05, 0.4), st.floats(-3.0, -1.0))
 @settings(max_examples=20)
 def test_split_additivity(lam, eps, log_y):

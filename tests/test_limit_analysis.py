@@ -21,7 +21,10 @@ from resolvent_limits import (
     compactness_probe,
     discretize,
     evaluate_offaxis,
+    estimate_holder,
     fit_divergence_rate,
+    geometric_radii,
+    holder_increments,
     limit_probe,
     plemelj_boundary,
     regularized_resolvent,
@@ -232,3 +235,37 @@ def test_dichotomy_regularized_vs_raw():
     reg = limit_probe(lambda z: regularized_resolvent(model, z, 0.0), 0.0, sched)
     assert raw.verdict == DIVERGES
     assert reg.verdict == CONVERGES
+
+
+def _inline_holder_fit(radii, incs) -> tuple:
+    """The fit estimate_holder made with its own polyfit and residual before
+    it shared _loglog_fit; kept as the reference."""
+    zero = incs == 0.0
+    rs, ds = np.array(radii)[~zero], incs[~zero]
+    logr, logd = np.log(rs), np.log(ds)
+    slope, intercept = np.polyfit(logr, logd, 1)
+    fitted = slope * logr + intercept
+    residual = float(np.sqrt(np.mean((logd - fitted) ** 2)))
+    return float(min(slope, 1.5)), float(np.exp(intercept)), (float(rs.min()), float(rs.max())), residual
+
+
+@given(
+    st.floats(0.1, 2.0),
+    st.floats(0.05, 1.0),
+    st.floats(-0.5, 0.5),
+    st.floats(-0.2, 0.2),
+    st.floats(0.02, 0.3),
+    st.floats(0.2, 0.8),
+    st.integers(8, 16),
+)
+@settings(max_examples=100)
+def test_estimate_holder_is_the_inline_fit_bit_for_bit(level, expo, center, offset, r_max, ratio, count):
+    bump = DensityFamily("power_bump", {"level": level, "exponent": expo, "center": center}, (-1.0, 1.0))
+    lam = center + offset
+    radii = geometric_radii(r_max, ratio, count)
+    incs = holder_increments(bump, lam, radii)
+    est = estimate_holder(lam, radii, incs)
+    want = _inline_holder_fit(radii, incs)
+    got = (est.alpha_hat, est.constant_hat, est.fit_window, est.residual)
+    assert repr(got) == repr(want)
+    assert [type(v) for v in got] == [type(v) for v in want]

@@ -1,4 +1,7 @@
 import cmath
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,3 +152,16 @@ def test_seed_grids_are_pure():
     assert first.edges.tolist() == [-1.0, -0.25, 0.5, 1.0]
     for a, b in zip(first, second):
         assert a is not b and a.tobytes() == b.tobytes()
+
+
+def test_importing_the_package_leaves_numpy_polynomial_unloaded():
+    # the Gauss rules are built on first use, so import (the benchmark's
+    # setup_s, and every console-script run) does not pay for numpy.polynomial
+    src = os.path.dirname(os.path.dirname(quadrature.__file__))
+    code = (
+        "import sys, resolvent_limits, resolvent_limits.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

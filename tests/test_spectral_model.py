@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from resolvent_limits import (
     Atom,
-    DegenerateSamples,
+    DegenerateFit,
     DensityFamily,
     SpectralMeasure,
     WeightFunction,
@@ -71,7 +71,7 @@ def test_estimate_holder_linear():
 
 
 def test_estimate_holder_constant_degenerates():
-    with pytest.raises(DegenerateSamples):
+    with pytest.raises(DegenerateFit):
         fit(lambda x: 3.25, 0.0)
 
 
