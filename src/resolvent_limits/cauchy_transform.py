@@ -286,8 +286,8 @@ def near_far_split(measure: SpectralMeasure, lam: float, eps: float) -> SplitMea
     Densities are truncated at the cut; atoms go near iff |loc - lam| < eps
     (the near zone is open, so an atom at distance exactly eps is far).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0 or math.isnan(lam):
+        raise ValueError(f"need eps > 0 and a number lam, got eps={eps!r}, lam={lam!r}")
     cut_lo, cut_hi = lam - eps, lam + eps
     near_parts, far_parts = [], []
     for part in measure.ac_parts:

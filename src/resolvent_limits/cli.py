@@ -22,15 +22,19 @@ produces byte-identical outputs.
 
 Each command is a function of the config alone.  It returns its summary
 line, its exit code and its outputs: a map from file suffix to a JSON
-document (a dict) or a CSV table (title, header, rows of formatted cells).
-``main`` alone names, renders, writes and prints them.  A file is named
-``<output_prefix>_<suffix>``; all of them are written in one call once the
-command has returned, each to a temporary name renamed into place, and the
-summary line is printed after that.  A failing command writes nothing, so
-exit 1 never leaves partial outputs behind.
+document (a dict) or a CSV table (title, header, columns), each column a
+sequence of floats, ints or strings.  ``main`` alone names, renders, writes
+and prints them.  A file is named ``<output_prefix>_<suffix>``; all of them
+are written in one call once the command has returned, each to a temporary
+name renamed into place, and the summary line is printed after that.  A
+failing command writes nothing, so exit 1 never leaves partial outputs
+behind.
 
 CSV conventions: one comment line naming the column layout version, then a
-header row; floats use scientific notation with 17 significant digits.
+header row; floats use scientific notation with 17 significant digits.  A
+table is formatted in one pass: one row format (``%.16e`` for a float column,
+``%s`` for any other) repeated once per row, applied by a single ``%`` to the
+row-major cells.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .cauchy_transform import evaluate_offaxis
@@ -72,10 +77,6 @@ from .spectral_model import SpectralMeasure, WeightFunction, read_number, read_o
 __all__ = ["main", "ExperimentConfig", "load_config"]
 
 CSV_VERSION = "resolvent-limits csv v1"
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.16e}"
 
 
 @dataclass(frozen=True)
@@ -240,11 +241,15 @@ def _write_all(outdir: Path, files: dict) -> None:
 
 
 def _render(output) -> str:
-    """Text of one output: a JSON document, or a CSV table (title, header, rows)."""
+    """Text of one output: a JSON document, or a CSV table (title, header,
+    columns) formatted in one pass."""
     if isinstance(output, dict):
         return json.dumps(output, indent=2, sort_keys=True) + "\n"
-    title, header, rows = output
-    return "\n".join([f"# {CSV_VERSION}: {title}", ",".join(header), *map(",".join, rows)]) + "\n"
+    title, header, columns = output
+    row = ",".join("%.16e" if isinstance(col[0], float) else "%s" for col in columns) + "\n"
+    cells = chain.from_iterable(zip(*columns))
+    # a temporary tuple: the cells are freed before the header is joined on, which copies the text
+    return f"# {CSV_VERSION}: {title}\n{','.join(header)}\n" + row * len(columns[0]) % tuple(cells)
 
 
 def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
@@ -297,13 +302,13 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
         "warnings": warnings,
         "config": cfg.echo(),
     }
-    rows = [[_fmt(v) for v in (s.y, s.shadow.real, s.shadow.imag, s.norm, s.diff)] for s in report.samples]
+    columns = list(zip(*((s.y, s.shadow.real, s.shadow.imag, s.norm, s.diff) for s in report.samples)))
     return (
         f"probe-limit: verdict={report.verdict} fitted_rate={report.fitted_rate:.4f}",
         0 if report.verdict in (CONVERGES, DIVERGES) else 2,
         {
             "limit_report.json": doc,
-            "limit_curve.csv": ("probe-limit curve", ["y", "re", "im", "norm", "diff"], rows),
+            "limit_curve.csv": ("probe-limit curve", ["y", "re", "im", "norm", "diff"], columns),
         },
     )
 
@@ -326,8 +331,7 @@ def cmd_compare_oracle(cfg: ExperimentConfig) -> tuple:
         if not skipped:
             worst = max(worst, gap)
             checked += 1
-        values = (y, form.real, form.imag, tv.value.real, tv.value.imag, gap)
-        rows.append([*map(_fmt, values), "SKIPPED" if skipped else "OK"])
+        rows.append((y, form.real, form.imag, tv.value.real, tv.value.imag, gap, "SKIPPED" if skipped else "OK"))
 
     ok = worst <= cfg.tolerances.oracle_rel_gap
     doc = {
@@ -343,22 +347,20 @@ def cmd_compare_oracle(cfg: ExperimentConfig) -> tuple:
     return (
         f"compare-oracle: worst_rel_gap={worst:.3e} checked={checked} passed={ok}",
         0 if ok else 2,
-        {"oracle_table.csv": ("compare-oracle table", header, rows), "oracle_summary.json": doc},
+        {"oracle_table.csv": ("compare-oracle table", header, list(zip(*rows))), "oracle_summary.json": doc},
     )
 
 
 def cmd_compactness(cfg: ExperimentConfig) -> tuple:
     model = discretize(cfg.measure, cfg.weight, cfg.n, cfg.embedding_dim, seed=cfg.seed)
     report = compactness_probe(model, cfg.compactness_s, cfg.compactness_radii)
-    sv_rows = [[str(i), _fmt(v)] for i, v in enumerate(report.singular_values)]
-    sb_rows = [[_fmt(r), _fmt(b)] for r, b in zip(report.truncation_radii, report.sup_bounds)]
+    sigma, radii, sups = report.singular_values, report.truncation_radii, report.sup_bounds
     return (
-        f"compactness: s={report.s} sigma_max={report.singular_values[0]:.6e} "
-        f"final_sup={report.sup_bounds[-1]:.3e}",
+        f"compactness: s={report.s} sigma_max={sigma[0]:.6e} final_sup={sups[-1]:.3e}",
         0,
         {
-            "singular_values.csv": ("compactness singular values", ["index", "sigma"], sv_rows),
-            "sup_bounds.csv": ("compactness tail sups", ["radius", "sup_bound"], sb_rows),
+            "singular_values.csv": ("compactness singular values", ["index", "sigma"], [range(len(sigma)), sigma]),
+            "sup_bounds.csv": ("compactness tail sups", ["radius", "sup_bound"], [radii, sups]),
         },
     )
 
@@ -371,10 +373,8 @@ def cmd_stone_density(cfg: ExperimentConfig) -> tuple:
     )
     result = stone_density(ev, cfg.lam, cfg.schedule)
     reference = cfg.weight(cfg.lam) ** 2 * cfg.measure.density_at(cfg.lam)
-    rows = [
-        [_fmt(y), _fmt(d * math.pi), _fmt(d)]
-        for y, d in zip(cfg.schedule.values, result.density_estimates)
-    ]
+    estimates = result.density_estimates
+    columns = [cfg.schedule.values, [d * math.pi for d in estimates], estimates]
     doc = {
         "extrapolated": result.extrapolated,
         "catalog_reference": reference,
@@ -386,7 +386,7 @@ def cmd_stone_density(cfg: ExperimentConfig) -> tuple:
         f"stone-density: extrapolated={result.extrapolated:.8f} reference={reference:.8f}",
         0,
         {
-            "stone_density.csv": ("stone-density curve", ["y", "im_transform", "density_estimate"], rows),
+            "stone_density.csv": ("stone-density curve", ["y", "im_transform", "density_estimate"], columns),
             "stone_summary.json": doc,
         },
     )
@@ -397,7 +397,6 @@ def cmd_holder_fit(cfg: ExperimentConfig) -> tuple:
     f = cfg.measure.density_at if cfg.holder_target == "density" else cfg.weight
     radii = geometric_radii(cfg.holder_r_max, cfg.holder_ratio, cfg.holder_count)
     incs = holder_increments(f, point, radii)
-    rows = [[_fmt(r), _fmt(d)] for r, d in zip(radii, incs)]
     doc = {"degenerate": False, "point": point, "target": cfg.holder_target}
     try:
         doc.update(asdict(estimate_holder(point, radii, incs)))
@@ -410,7 +409,7 @@ def cmd_holder_fit(cfg: ExperimentConfig) -> tuple:
         0,
         {
             "holder_fit.json": doc,
-            "holder_increments.csv": ("holder-fit increments", ["radius", "mean_increment"], rows),
+            "holder_increments.csv": ("holder-fit increments", ["radius", "mean_increment"], [radii, incs]),
         },
     )
 

@@ -63,7 +63,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class YSchedule:
-    """Geometric ladder y_k = y_max * ratio^k down to y_min (at least 8)."""
+    """Geometric ladder of floats y_k = y_max * ratio^k down to y_min (at least 8)."""
 
     y_max: float = 0.1
     y_min: float = 1e-6
@@ -80,7 +80,7 @@ class YSchedule:
     @property
     def values(self) -> tuple:
         out = []
-        y = self.y_max
+        y = float(self.y_max)
         floor = self.y_min * (1.0 - 1e-12)
         while y >= floor:
             out.append(y)
@@ -253,10 +253,10 @@ def compactness_probe(
     truncation radius R, the tail sup ``max_{|x_i| > R} w_i (1 + |x_i|)^{-s}``,
     which is nonincreasing in R and exactly 0 once R covers the weight support.
     """
-    if s <= 0.5:
+    if not s > 0.5:
         raise InvalidExponent(f"decay exponent s={s} must exceed 1/2")
     radii = [float(r) for r in truncation_radii]
-    if not radii or any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
+    if not (radii and all(r > 0 for r in radii) and all(a < b for a, b in zip(radii, radii[1:]))):
         raise ValueError("truncation radii must be a nonempty, positive and increasing list")
 
     damp = (1.0 + np.abs(model.nodes)) ** (-s)
@@ -274,7 +274,7 @@ def compactness_probe(
     return CompactnessReport(
         s=float(s),
         truncation_radii=tuple(radii),
-        singular_values=tuple(float(v) for v in sigma),
+        singular_values=tuple(sigma.tolist()),
         sup_bounds=tuple(bounds),
     )
 
@@ -351,7 +351,7 @@ def estimate_holder(lam: float, radii: Sequence[float], increments: Sequence[flo
     radii = [float(r) for r in radii]
     if len(radii) < 8:
         raise ValueError("need at least 8 radii")
-    if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
+    if not (all(r > 0 for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
         raise ValueError("radii must be positive and strictly decreasing")
 
     incs = np.asarray(increments, dtype=float)

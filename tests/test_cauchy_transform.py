@@ -543,6 +543,15 @@ def test_near_far_split_atom_routing():
     assert sp.far.atoms == (Atom(0.5, 1.0),)  # open near zone: boundary atom is far
 
 
+@pytest.mark.parametrize("lam, eps", [(0.0, 0.0), (0.0, -0.5), (0.0, math.nan), (math.nan, 0.5)])
+def test_near_far_split_rejects_a_cut_that_is_not_a_positive_width_at_a_number(lam, eps):
+    """A NaN cut compares false both ways: each density part would come out
+    three times and every atom would be dropped."""
+    m = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.3, 1.0),))
+    with pytest.raises(ValueError):
+        near_far_split(m, lam, eps)
+
+
 def _two_pass_split(measure, lam, eps):
     """The split as it was built before it cut each part in one loop: the
     near parts by truncating every part to [lam - eps, lam + eps], then the

@@ -1,16 +1,30 @@
 import contextlib
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import resolvent_limits
-from resolvent_limits.cli import ExperimentConfig, load_config, main
+from resolvent_limits import SpectralMeasure, WeightFunction, YSchedule, compactness_probe, discretize
+from resolvent_limits.cli import (
+    CSV_VERSION,
+    ExperimentConfig,
+    _render,
+    cmd_compactness,
+    cmd_stone_density,
+    load_config,
+    main,
+)
 from resolvent_limits.errors import ConfigError
 
 FLAT_MEASURE = {
@@ -271,6 +285,99 @@ def test_holder_fit_evaluates_each_point_once(tmp_path, monkeypatch):
     config = ROOT / "configs" / "holder_fit.json"
     assert main(["holder-fit", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert len(calls) == 2 * json.loads(config.read_text())["holder"]["count"] + 1 == 21
+
+
+def reference_csv(title, header, columns) -> str:
+    """A CSV table as it was built before each table was formatted in one
+    pass: a list of cell strings per row, each float cell by
+    f"{float(x):.16e}" and any other by str, joined by "," and then by
+    newlines.  Kept as the reference."""
+    rows = [[f"{float(x):.16e}" if isinstance(x, float) else str(x) for x in row] for row in zip(*columns)]
+    return "\n".join([f"# {CSV_VERSION}: {title}", ",".join(header), *map(",".join, rows)]) + "\n"
+
+
+# floats of every class: nan, +-inf, +-0.0, subnormals, and 3-digit exponents
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.7976931348623157e308]
+CELLS = {
+    "float": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+    "int": st.integers(-(10**20), 10**20),
+    "status": st.sampled_from(["OK", "SKIPPED"]),
+}
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(1, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=7)):
+        column = draw(st.lists(CELLS[kind], min_size=rows, max_size=rows))
+        # a float column may also come as a numpy array, whose cells are np.float64
+        columns.append(np.array(column) if kind == "float" and draw(st.booleans()) else tuple(column))
+    return "a table", [f"c{i}" for i in range(len(columns))], columns
+
+
+@given(tables())
+def test_render_formats_a_table_as_the_per_cell_construction(table):
+    assert _render(table) == reference_csv(*table)
+
+
+def test_an_integer_y_max_is_rendered_as_a_float():
+    """A table's float columns must hold floats: a schedule built with an
+    int y_max gives the y column a float first cell, as every other."""
+    cfg = ExperimentConfig(
+        measure=SpectralMeasure.from_dict(FLAT_MEASURE),
+        weight=WeightFunction.from_dict(PLATEAU_WEIGHT),
+        schedule=YSchedule(y_max=1, y_min=1e-3),
+    )
+    table = cmd_stone_density(cfg)[2]["stone_density.csv"]
+    assert _render(table).splitlines()[2].startswith("1.0000000000000000e+00,")
+    assert _render(table) == reference_csv(*table)
+
+
+def large_compactness_config(path, n):
+    """A compactness config shaped like the benchmark's large-n one: a
+    constant density on [-1, 1], a hat weight and the identity embedding."""
+    return write_config(
+        path,
+        measure={"ac_parts": [constant_part(1.1)], "atoms": []},
+        weight={"kind": "hat", "parameters": {"center": 0.0, "half_width": 1.0}},
+        discretization={"n": n, "embedding_dim": "same"},
+        compactness={"s": 0.9, "radii": [0.3, 0.6, 0.9, 1.0, 1.5]},
+        output_prefix="compact",
+    )
+
+
+def test_large_compactness_csvs_are_the_per_cell_construction(tmp_path):
+    path = large_compactness_config(tmp_path / "c.json", 10_000)
+    assert main(["compactness", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    cfg = load_config(path)
+    model = discretize(cfg.measure, cfg.weight, cfg.n, cfg.embedding_dim)
+    rep = compactness_probe(model, cfg.compactness_s, cfg.compactness_radii)
+    sigma = rep.singular_values
+    assert len(sigma) == 10_000
+    expected = {
+        "compact_singular_values.csv": reference_csv(
+            "compactness singular values", ["index", "sigma"], [range(len(sigma)), sigma]
+        ),
+        "compact_sup_bounds.csv": reference_csv(
+            "compactness tail sups", ["radius", "sup_bound"], [rep.truncation_radii, rep.sup_bounds]
+        ),
+    }
+    assert {p.name: p.read_text() for p in (tmp_path / "out").iterdir()} == expected
+
+
+def test_compactness_allocation_peak_is_a_few_times_its_csv(tmp_path):
+    """A table is formatted in one pass, with no string per cell.  With a
+    string per cell, the peak was 11 times the singular-value CSV at this n."""
+    cfg = load_config(large_compactness_config(tmp_path / "c.json", 100_000))
+    tracemalloc.start()
+    try:
+        _, _, outputs = cmd_compactness(cfg)
+        text = _render(outputs["singular_values.csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -182,6 +182,18 @@ def test_compactness_probe_rejects_small_exponent():
         compactness_probe(model, 0.5, [1.0])
 
 
+def test_compactness_probe_rejects_nan_exponent():
+    with pytest.raises(InvalidExponent):
+        compactness_probe(discretize(FLAT, PLATEAU, 10), math.nan, [1.0])
+
+
+@pytest.mark.parametrize("radii", [[], [0.0, 1.0], [0.5, 0.5], [1.0, 0.5], [math.nan, 0.5], [0.25, math.nan]])
+def test_compactness_probe_rejects_radii_that_are_not_positive_and_increasing(radii):
+    """[nan, 0.5] would give sup bounds (0.0, 0.23), which increase."""
+    with pytest.raises(ValueError):
+        compactness_probe(discretize(FLAT, PLATEAU, 10), 1.0, radii)
+
+
 def test_compactness_sup_bounds_monotone_to_zero():
     w = WeightFunction("hat", {"center": 0.0, "half_width": 1.0})
     model = discretize(FLAT, w, 101)

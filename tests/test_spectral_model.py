@@ -84,6 +84,14 @@ def test_estimate_holder_rejects_bad_radii():
         estimate_holder(0.0, RADII, holder_increments(lambda x: x, 0.0, RADII[:-1]))
 
 
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_estimate_holder_rejects_a_nan_radius(k):
+    radii = list(RADII)
+    radii[k] = math.nan
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        estimate_holder(0.0, radii, np.ones(len(radii)))
+
+
 # families paired with a point where the declared exponent is attained
 CATALOG_SHARP = [
     (DensityFamily("power_bump", {"level": 1.0, "exponent": 0.3, "center": 0.0}, (-1.0, 1.0)), 0.0, 0.3),
