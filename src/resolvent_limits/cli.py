@@ -72,7 +72,7 @@ from .matrix_oracle import (
     sandwiched_resolvent,
 )
 from .quadrature import DEFAULT_ABS_TOL
-from .spectral_model import SpectralMeasure, WeightFunction, read_number, read_object
+from .spectral_model import Atom, DensityFamily, SpectralMeasure, WeightFunction
 
 __all__ = ["main", "ExperimentConfig", "load_config"]
 
@@ -114,10 +114,14 @@ class ExperimentConfig:
     output_prefix: str = "run"
 
     def echo(self) -> dict:
-        """Config as written back into reports (deterministic key order)."""
+        """Config as written back into reports, in the form ``load_config``
+        reads (deterministic key order)."""
         return {
-            "measure": self.measure.to_dict(),
-            "weight": self.weight.to_dict(),
+            "measure": {
+                "ac_parts": [_echo_family(p) for p in self.measure.ac_parts],
+                "atoms": [asdict(a) for a in self.measure.atoms],
+            },
+            "weight": _echo_family(self.weight),
             "lambda": self.lam,
             "schedule": asdict(self.schedule),
             "evaluator": self.evaluator,
@@ -126,6 +130,65 @@ class ExperimentConfig:
             "seed": self.seed,
             "tolerances": asdict(self.tolerances),
         }
+
+
+def _echo_family(family) -> dict:
+    return {"kind": family.kind, "parameters": dict(family.parameters), "support": list(family.support)}
+
+
+def read_number(name: str, value) -> float:
+    """A JSON number read without coercion: an integer or a finite float, and
+    an integer is read as a float.  A bool, a string, NaN or an integer
+    beyond the float range raises ConfigError."""
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not float or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def read_object(name: str, value, keys=None) -> dict:
+    """A JSON object whose keys all lie in ``keys`` (any keys when None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(value if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    return value
+
+
+def _read_numbers(name: str, values) -> tuple:
+    return tuple(read_number(name, v) for v in values)
+
+
+def _read_parameters(name: str, value) -> dict:
+    return {k: read_number(f"{name} {k}", v) for k, v in read_object(name, value).items()}
+
+
+def _read_density(raw) -> DensityFamily:
+    raw = read_object("measure ac_parts entry", raw, ("kind", "parameters", "support"))
+    return DensityFamily(
+        raw["kind"],
+        _read_parameters("measure parameters", raw["parameters"]),
+        _read_numbers("measure support", raw.get("support", ())),
+    )
+
+
+def _read_measure(raw) -> SpectralMeasure:
+    raw = read_object("measure", raw, ("ac_parts", "atoms"))
+    atoms = [read_object("measure atom", a, ("location", "mass")) for a in raw.get("atoms", [])]
+    return SpectralMeasure(
+        tuple(_read_density(p) for p in raw.get("ac_parts", [])),
+        tuple(Atom(read_number("atom location", a["location"]), read_number("atom mass", a["mass"])) for a in atoms),
+    )
+
+
+def _read_weight(raw) -> WeightFunction:
+    raw = read_object("weight", raw, ("kind", "parameters", "support"))
+    weight = WeightFunction(raw["kind"], _read_parameters("weight parameters", raw["parameters"]))
+    if "support" in raw and _read_numbers("weight support", raw["support"]) != weight.support:
+        raise ValueError("serialized weight support does not match its parameters")
+    return weight
 
 
 def _embedding_dim(value):
@@ -181,7 +244,7 @@ _SECTIONS = {
     "tolerances": _numbers("tolerances", "quadrature_abs", "convergence", "oracle_rel_gap"),
     "compactness": {
         **_numbers("compactness", "s"),
-        "radii": lambda radii: tuple(read_number("compactness radii", r) for r in radii),
+        "radii": partial(_read_numbers, "compactness radii"),
     },
     "holder": {
         "target": _one_of("holder target", "density", "weight"),
@@ -212,8 +275,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"config is missing required section {required!r}")
 
     try:
-        measure = SpectralMeasure.from_dict(raw["measure"])
-        weight = WeightFunction.from_dict(raw["weight"])
+        measure = _read_measure(raw["measure"])
+        weight = _read_weight(raw["weight"])
         top = {("lam" if k == "lambda" else k): parse(raw[k]) for k, parse in _TOP.items() if k in raw}
         return ExperimentConfig(
             measure=measure,

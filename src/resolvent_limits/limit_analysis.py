@@ -74,6 +74,8 @@ class YSchedule:
             raise ValueError("ratio must lie in (0, 1)")
         if not (0 < self.y_min <= self.y_max):
             raise ValueError("need 0 < y_min <= y_max")
+        if not math.isfinite(self.y_max):  # the ladder from an infinite y_max never ends
+            raise ValueError(f"y_max must be finite, got {self.y_max!r}")
         if len(self.values) < 8:
             raise ValueError("schedule must contain at least 8 values")
 
@@ -258,6 +260,8 @@ def compactness_probe(
     radii = [float(r) for r in truncation_radii]
     if not (radii and all(r > 0 for r in radii) and all(a < b for a, b in zip(radii, radii[1:]))):
         raise ValueError("truncation radii must be a nonempty, positive and increasing list")
+    if not model.nodes.size:
+        raise ValueError("the model has no nodes: its measure has no atom and no density node of positive mass")
 
     damp = (1.0 + np.abs(model.nodes)) ** (-s)
     diag = model.rigging_diagonal() * damp
@@ -324,7 +328,7 @@ class HolderEstimate:
     residual: float
 
 
-def geometric_radii(r_max: float = 0.125, ratio: float = 0.5, count: int = 10) -> tuple:
+def geometric_radii(r_max: float, ratio: float, count: int) -> tuple:
     """Strictly decreasing geometric radius ladder for estimate_holder."""
     if not (0 < ratio < 1 and r_max > 0 and count >= 1):
         raise ValueError("need r_max > 0, 0 < ratio < 1, count >= 1")

@@ -1,13 +1,14 @@
 """Parametric spectral measures and weight functions.
 
 Densities and weights come from a closed catalog of families instead of
-arbitrary callables.  That keeps configurations serializable and lets the
-quadrature layer place panel breakpoints at the exact kink/cusp locations of
-each family and grade its panels toward the cusps (``cusps()``).  Every family
-is continuous on its closed support, so w^2 rho can jump only at a support
-edge; whether it does at a probe point is the transform kernel's question.
-Fitting a Holder exponent from a family's increments is a rate fit, and lives
-with the others in ``limit_analysis``.
+arbitrary callables.  That lets the quadrature layer place panel breakpoints
+at the exact kink/cusp locations of each family and grade its panels toward
+the cusps (``cusps()``).  Every family is continuous on its closed support,
+so w^2 rho can jump only at a support edge; whether it does at a probe point
+is the transform kernel's question.  Fitting a Holder exponent from a
+family's increments is a rate fit, and lives with the others in
+``limit_analysis``.  The JSON form of a measure and a weight in a config file
+is read and written by ``cli``.
 
 Density catalog (``DensityFamily.kind``):
 
@@ -35,22 +36,12 @@ Weight catalog (``WeightFunction.kind``):
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError
-
-__all__ = [
-    "DensityFamily",
-    "SpectralMeasure",
-    "WeightFunction",
-    "Atom",
-    "read_number",
-    "read_object",
-]
+__all__ = ["DensityFamily", "SpectralMeasure", "WeightFunction", "Atom"]
 
 _DENSITY_PARAMS = {
     "constant": frozenset({"level"}),
@@ -65,31 +56,6 @@ _WEIGHT_PARAMS = {
     "power_hat": frozenset({"center", "half_width", "exponent"}),
     "plateau": frozenset({"center", "half_width"}),
 }
-
-
-def read_number(name: str, value) -> float:
-    """A JSON number read without coercion: an integer or a finite float, and
-    an integer is read as a float.  A bool, a string, NaN or an integer
-    beyond the float range raises ConfigError."""
-    if type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if type(value) is not float or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return value
-
-
-def read_object(name: str, value, keys=None) -> dict:
-    """A JSON object whose keys all lie in ``keys`` (any keys when None)."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    unknown = set(value) - set(value if keys is None else keys)
-    if unknown:
-        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-    return value
-
-
-def _read_parameters(name: str, value) -> dict:
-    return {k: read_number(f"{name} {k}", v) for k, v in read_object(name, value).items()}
 
 
 def _freeze_params(family, table: dict) -> None:
@@ -110,18 +76,11 @@ def _freeze_params(family, table: dict) -> None:
 
 
 class _Family:
-    """What a density piece and a weight share: the value at one point and
-    the serialized form.  Each family defines its own vectorized ``values``."""
+    """What a density piece and a weight share: the value at one point.  Each
+    family defines its own vectorized ``values``."""
 
     def __call__(self, x: float) -> float:
         return float(self.values(np.asarray([x]))[0])
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": dict(self.parameters),
-            "support": list(self.support),
-        }
 
 
 @dataclass(frozen=True)
@@ -194,15 +153,6 @@ class DensityFamily(_Family):
         cusp = self.kind == "power_bump" and p["exponent"] < 1.0 and lo <= p["center"] <= hi
         return (p["center"],) if cusp else ()
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DensityFamily":
-        d = read_object("measure ac_parts entry", d, ("kind", "parameters", "support"))
-        return cls(
-            kind=d["kind"],
-            parameters=_read_parameters("measure parameters", d["parameters"]),
-            support=tuple(read_number("measure support", v) for v in d.get("support", ())),
-        )
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -252,24 +202,6 @@ class SpectralMeasure:
     def cusps(self) -> tuple:
         """Cusps of the parts: where a part's Holder exponent is below 1."""
         return tuple(c for part in self.ac_parts for c in part.cusps())
-
-    def to_dict(self) -> dict:
-        return {
-            "ac_parts": [p.to_dict() for p in self.ac_parts],
-            "atoms": [{"location": a.location, "mass": a.mass} for a in self.atoms],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralMeasure":
-        d = read_object("measure", d, ("ac_parts", "atoms"))
-        atoms = [read_object("measure atom", a, ("location", "mass")) for a in d.get("atoms", [])]
-        return cls(
-            ac_parts=tuple(DensityFamily.from_dict(p) for p in d.get("ac_parts", [])),
-            atoms=tuple(
-                Atom(read_number("atom location", a["location"]), read_number("atom mass", a["mass"]))
-                for a in atoms
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -323,11 +255,3 @@ class WeightFunction(_Family):
         """Points where the Holder exponent is below 1: a power_hat centre."""
         p = self.parameters
         return (p["center"],) if self.kind == "power_hat" and p["exponent"] < 1.0 else ()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightFunction":
-        d = read_object("weight", d, ("kind", "parameters", "support"))
-        w = cls(kind=d["kind"], parameters=_read_parameters("weight parameters", d["parameters"]))
-        if "support" in d and tuple(read_number("weight support", v) for v in d["support"]) != w.support:
-            raise ValueError("serialized weight support does not match its parameters")
-        return w

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import resolvent_limits
-from resolvent_limits import SpectralMeasure, WeightFunction, YSchedule, compactness_probe, discretize
+from resolvent_limits import DensityFamily, SpectralMeasure, WeightFunction, YSchedule, compactness_probe, discretize
 from resolvent_limits.cli import (
     CSV_VERSION,
     ExperimentConfig,
@@ -26,6 +26,8 @@ from resolvent_limits.cli import (
     main,
 )
 from resolvent_limits.errors import ConfigError
+
+from conftest import spectral_measures, weight_functions
 
 FLAT_MEASURE = {
     "ac_parts": [{"kind": "constant", "parameters": {"level": 1.0}, "support": [-1.0, 1.0]}],
@@ -228,6 +230,22 @@ def test_compactness_exit_codes(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_compactness_on_a_model_with_no_nodes_is_an_error(tmp_path, capsys):
+    """A zero density and no atoms: discretize prunes every node, so there
+    is no singular value for the summary line or the CSV."""
+    cfg = write_config(
+        tmp_path / "c.json",
+        measure={"ac_parts": [constant_part(level=0.0)], "atoms": []},
+        weight={"kind": "hat", "parameters": {"center": 0.0, "half_width": 1.0}},
+        discretization={"n": 50},
+    )
+    out = tmp_path / "out"
+    assert main(["compactness", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_stone_density_outputs(tmp_path):
     cfg = write_config(tmp_path / "c.json", **{"lambda": 0.3})
     out = tmp_path / "out"
@@ -325,8 +343,8 @@ def test_an_integer_y_max_is_rendered_as_a_float():
     """A table's float columns must hold floats: a schedule built with an
     int y_max gives the y column a float first cell, as every other."""
     cfg = ExperimentConfig(
-        measure=SpectralMeasure.from_dict(FLAT_MEASURE),
-        weight=WeightFunction.from_dict(PLATEAU_WEIGHT),
+        measure=SpectralMeasure((DensityFamily("constant", {"level": 1.0}, (-1.0, 1.0)),)),
+        weight=WeightFunction("plateau", {"center": 0.0, "half_width": 1.0}),
         schedule=YSchedule(y_max=1, y_min=1e-3),
     )
     table = cmd_stone_density(cfg)[2]["stone_density.csv"]
@@ -520,6 +538,74 @@ def test_config_types_are_exact(tmp_path, key, overrides):
     out = tmp_path / "out"
     assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+# the full ConfigError text of each malformed measure or weight entry: a
+# message names the entry and the key at fault
+MALFORMED_MEASURE_OR_WEIGHT = {
+    "ac-parts-entry-int": (
+        {"measure": {"ac_parts": [5]}},
+        "measure ac_parts entry must be a JSON object, got 5",
+    ),
+    "ac-parts-entry-unknown-key": (
+        {"measure": {"ac_parts": [{**constant_part(), "color": 1}]}},
+        "unknown keys in measure ac_parts entry: ['color']",
+    ),
+    "parameter-string": (
+        {"measure": {"ac_parts": [constant_part(level="1.0")]}},
+        "measure parameters level must be a finite number, got '1.0'",
+    ),
+    "support-edge-bool": (
+        {"measure": {"ac_parts": [constant_part(support=(True, 1.0))]}},
+        "measure support must be a finite number, got True",
+    ),
+    "atom-location-string": (
+        {"measure": {"atoms": [{"location": "0", "mass": 1.0}]}},
+        "atom location must be a finite number, got '0'",
+    ),
+    "atom-list": (
+        {"measure": {"atoms": [[0.0, 1.0]]}},
+        "measure atom must be a JSON object, got [0.0, 1.0]",
+    ),
+    "parameters-list": (
+        {"measure": {"ac_parts": [constant_part(parameters=[1.0])]}},
+        "measure parameters must be a JSON object, got [1.0]",
+    ),
+    "kind-missing": (
+        {"measure": {"ac_parts": [{"parameters": {"level": 1.0}, "support": [-1.0, 1.0]}]}},
+        "bad config value: 'kind'",
+    ),
+    "weight-unknown-key": (
+        {"weight": {**PLATEAU_WEIGHT, "shape": 1}},
+        "unknown keys in weight: ['shape']",
+    ),
+    "weight-parameter-string": (
+        {"weight": {"kind": "plateau", "parameters": {"center": 0.0, "half_width": "1"}}},
+        "weight parameters half_width must be a finite number, got '1'",
+    ),
+    "weight-support-mismatch": (
+        {"weight": {**PLATEAU_WEIGHT, "support": [-2.0, 2.0]}},
+        "bad config value: serialized weight support does not match its parameters",
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides, message", MALFORMED_MEASURE_OR_WEIGHT.values(), ids=MALFORMED_MEASURE_OR_WEIGHT)
+def test_malformed_measure_or_weight_messages(tmp_path, overrides, message):
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write_config(tmp_path / "c.json", **overrides))
+    assert str(excinfo.value) == message
+
+
+@given(spectral_measures(), weight_functions())
+def test_an_echoed_config_loads_as_the_same_config(measure, weight):
+    """The echo written into every report is a config file: it loads back
+    as an equal config, catalog floats exact through the JSON text."""
+    cfg = ExperimentConfig(measure=measure, weight=weight)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "echo.json"
+        path.write_text(json.dumps(cfg.echo()))
+        assert load_config(path) == cfg
 
 
 def test_integer_numbers_read_as_floats(tmp_path):

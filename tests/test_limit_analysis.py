@@ -57,6 +57,12 @@ def test_schedule_validation():
         YSchedule(y_max=-1.0)
 
 
+def test_schedule_rejects_an_infinite_y_max():
+    # the ladder from inf never reaches y_min, so building its values would never end
+    with pytest.raises(ValueError, match="y_max must be finite"):
+        YSchedule(y_max=math.inf)
+
+
 def test_limit_probe_constant_evaluator():
     report = limit_probe(lambda z: 3.0 + 1.0j, 0.0, SCHED)
     assert report.verdict == CONVERGES
@@ -192,6 +198,15 @@ def test_compactness_probe_rejects_radii_that_are_not_positive_and_increasing(ra
     """[nan, 0.5] would give sup bounds (0.0, 0.23), which increase."""
     with pytest.raises(ValueError):
         compactness_probe(discretize(FLAT, PLATEAU, 10), 1.0, radii)
+
+
+def test_compactness_probe_rejects_a_model_with_no_nodes():
+    zero = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 0.0}, (-1.0, 1.0)),))
+    for measure in (zero, SpectralMeasure()):
+        model = discretize(measure, PLATEAU, 10)
+        assert model.nodes.size == 0
+        with pytest.raises(ValueError, match="no nodes"):
+            compactness_probe(model, 1.0, [1.0])
 
 
 def test_compactness_sup_bounds_monotone_to_zero():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from resolvent_limits import (
     plemelj_boundary,
 )
 
-from conftest import density_families, spectral_measures, weight_functions
+from conftest import density_families, weight_functions
 
 RADII = geometric_radii(2.0 ** -3, 0.5, 10)  # 2^-3 .. 2^-12
 
@@ -165,17 +164,6 @@ def test_weight_holder_pair_bound(weight, data):
     assert abs(weight(x) - weight(x2)) <= (
         c * abs(x - x2) ** alpha + 1e-12
     )
-
-
-# exact round trips through the JSON text a config holds
-@given(spectral_measures())
-def test_measure_round_trip_exact(measure):
-    assert SpectralMeasure.from_dict(json.loads(json.dumps(measure.to_dict()))) == measure
-
-
-@given(weight_functions())
-def test_weight_round_trip_exact(weight):
-    assert WeightFunction.from_dict(json.loads(json.dumps(weight.to_dict()))) == weight
 
 
 def test_validation_errors():
