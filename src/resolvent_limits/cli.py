@@ -45,7 +45,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -136,132 +135,126 @@ def _echo_family(family) -> dict:
     return {"kind": family.kind, "parameters": dict(family.parameters), "support": list(family.support)}
 
 
-def read_number(name: str, value) -> float:
-    """A JSON number read without coercion: an integer or a finite float, and
-    an integer is read as a float.  A bool, a string, NaN or an integer
-    beyond the float range raises ConfigError."""
-    if type(value) is int and abs(value) <= sys.float_info.max:
+_KINDS = {
+    float: "a finite number",
+    bool: "true or false",
+    int: "an integer",
+    str: "a string",
+    list: "a JSON array",
+    dict: "a JSON object",
+}
+
+
+def read_value(name: str, value, kind: type):
+    """A JSON value of one kind (a key of ``_KINDS``), read without coercion:
+    "false" is not False, 13.9 is not 13, true is not 1, "0.3" is not 0.3 and
+    "ab" is not an array.  A float may be given as an integer within the float
+    range, which is read as a float, and it must be finite.  Anything else
+    raises ConfigError."""
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
-    if type(value) is not float or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
-def read_object(name: str, value, keys=None) -> dict:
-    """A JSON object whose keys all lie in ``keys`` (any keys when None)."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    unknown = set(value) - set(value if keys is None else keys)
+def read_object(name: str, value, keys) -> dict:
+    """A JSON object whose keys all lie in ``keys``."""
+    unknown = set(read_value(name, value, dict)) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
     return value
 
 
 def _read_numbers(name: str, values) -> tuple:
-    return tuple(read_number(name, v) for v in values)
+    return tuple(read_value(name, v, float) for v in read_value(name, values, list))
 
 
 def _read_parameters(name: str, value) -> dict:
-    return {k: read_number(f"{name} {k}", v) for k, v in read_object(name, value).items()}
+    return {k: read_value(f"{name} {k}", v, float) for k, v in read_value(name, value, dict).items()}
 
 
 def _read_density(raw) -> DensityFamily:
     raw = read_object("measure ac_parts entry", raw, ("kind", "parameters", "support"))
     return DensityFamily(
-        raw["kind"],
+        read_value("measure kind", raw["kind"], str),
         _read_parameters("measure parameters", raw["parameters"]),
-        _read_numbers("measure support", raw.get("support", ())),
+        _read_numbers("measure support", raw.get("support", [])),
     )
 
 
-def _read_measure(raw) -> SpectralMeasure:
-    raw = read_object("measure", raw, ("ac_parts", "atoms"))
-    atoms = [read_object("measure atom", a, ("location", "mass")) for a in raw.get("atoms", [])]
+def _read_measure(name: str, raw) -> SpectralMeasure:
+    raw = read_object(name, raw, ("ac_parts", "atoms"))
+    parts = read_value("measure ac_parts", raw.get("ac_parts", []), list)
+    atoms = read_value("measure atoms", raw.get("atoms", []), list)
+    atoms = [read_object("measure atom", a, ("location", "mass")) for a in atoms]
     return SpectralMeasure(
-        tuple(_read_density(p) for p in raw.get("ac_parts", [])),
-        tuple(Atom(read_number("atom location", a["location"]), read_number("atom mass", a["mass"])) for a in atoms),
+        tuple(_read_density(p) for p in parts),
+        tuple(Atom(*(read_value(f"atom {k}", a[k], float) for k in ("location", "mass"))) for a in atoms),
     )
 
 
-def _read_weight(raw) -> WeightFunction:
-    raw = read_object("weight", raw, ("kind", "parameters", "support"))
-    weight = WeightFunction(raw["kind"], _read_parameters("weight parameters", raw["parameters"]))
+def _read_weight(name: str, raw) -> WeightFunction:
+    raw = read_object(name, raw, ("kind", "parameters", "support"))
+    kind = read_value("weight kind", raw["kind"], str)
+    weight = WeightFunction(kind, _read_parameters("weight parameters", raw["parameters"]))
     if "support" in raw and _read_numbers("weight support", raw["support"]) != weight.support:
         raise ValueError("serialized weight support does not match its parameters")
     return weight
 
 
-def _embedding_dim(value):
+def _read_embedding_dim(name: str, value):
     if value == SAME or (type(value) is int and value >= 1):
         return value
-    raise ConfigError(f"embedding_dim must be {SAME!r} or a positive integer, got {value!r}")
+    raise ConfigError(f"{name} must be {SAME!r} or a positive integer, got {value!r}")
 
 
-_KINDS = {bool: "true or false", int: "an integer", str: "a string"}
-
-
-def _exact(name: str, kind: type):
-    """Parser of a JSON boolean, integer or string (kind bool, int or str)
-    without coercion: "false" is not False, 13.9 is not 13 and true is not 1.
-    Numbers are read by ``read_number``: "0.3" is not 0.3, and NaN is not a
-    number."""
-
-    def parse(value):
-        if type(value) is not kind:
-            raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+def _read_key(name: str, value, spec):
+    """One config value read by its key's spec: a kind of ``read_value``, a
+    tuple of the strings allowed, or a reader taking (name, value)."""
+    if isinstance(spec, type):
+        return read_value(name, value, spec)
+    if isinstance(spec, tuple):
+        if value not in spec:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, spec))}, got {value!r}")
         return value
-
-    return parse
-
-
-def _numbers(section: str, *keys: str) -> dict:
-    return {k: partial(read_number, f"{section} {k}") for k in keys}
+    return spec(name, value)
 
 
-def _one_of(name: str, *allowed):
-    def parse(value):
-        if value not in allowed:
-            raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
-        return value
-
-    return parse
-
-
-# Parsers of the keys each config section may set.  A parsed key becomes a
-# keyword argument of YSchedule, Tolerances or ExperimentConfig (named by the
-# section's prefix plus the key); a key the config leaves out is not passed,
-# so every default is stated once, on its dataclass.
+# The spec of each key a config section may set, read by ``_read_key``.  A read
+# key becomes a keyword argument of YSchedule, Tolerances or ExperimentConfig
+# (named by the section's prefix plus the key); a key the config leaves out is
+# not passed, so every default is stated once, on its dataclass.
 _TOP = {
-    "lambda": partial(read_number, "lambda"),
-    "evaluator": _one_of("evaluator", "transform", "matrix"),
-    "regularize": _exact("regularize", bool),
-    "seed": _exact("seed", int),
-    "output_prefix": _exact("output_prefix", str),
+    "measure": _read_measure,
+    "weight": _read_weight,
+    "lambda": float,
+    "evaluator": ("transform", "matrix"),
+    "regularize": bool,
+    "seed": int,
+    "output_prefix": str,
 }
 _SECTIONS = {
-    "schedule": _numbers("schedule", "y_max", "y_min", "ratio"),
-    "discretization": {"n": _exact("n", int), "embedding_dim": _embedding_dim},
-    "tolerances": _numbers("tolerances", "quadrature_abs", "convergence", "oracle_rel_gap"),
-    "compactness": {
-        **_numbers("compactness", "s"),
-        "radii": partial(_read_numbers, "compactness radii"),
-    },
+    "schedule": {"y_max": float, "y_min": float, "ratio": float},
+    "discretization": {"n": int, "embedding_dim": _read_embedding_dim},
+    "tolerances": {"quadrature_abs": float, "convergence": float, "oracle_rel_gap": float},
+    "compactness": {"s": float, "radii": _read_numbers},
     "holder": {
-        "target": _one_of("holder target", "density", "weight"),
-        "point": lambda p: None if p is None else read_number("holder point", p),
-        **_numbers("holder", "r_max", "ratio"),
-        "count": _exact("holder count", int),
+        "target": ("density", "weight"),
+        "point": lambda name, p: None if p is None else read_value(name, p, float),
+        "r_max": float,
+        "ratio": float,
+        "count": int,
     },
 }
 _PREFIX = {"compactness": "compactness_", "holder": "holder_"}
-_TOP_KEYS = {"measure", "weight", *_TOP, *_SECTIONS}
 
 
 def _section(raw: dict, key: str) -> dict:
-    """Parsed values of the keys that one config section sets."""
-    parsers = _SECTIONS[key]
-    sub = read_object(f"config section {key!r}", raw.get(key, {}), parsers)
-    return {_PREFIX.get(key, "") + k: parsers[k](v) for k, v in sub.items()}
+    """Read values of the keys that one config section sets."""
+    specs = _SECTIONS[key]
+    sub = read_object(f"config section {key!r}", raw.get(key, {}), specs)
+    return {_PREFIX.get(key, "") + k: _read_key(f"{key} {k}", v, specs[k]) for k, v in sub.items()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -269,18 +262,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    read_object("config", raw, _TOP_KEYS)
+    read_object("config", raw, (*_TOP, *_SECTIONS))
     for required in ("measure", "weight"):
         if required not in raw:
             raise ConfigError(f"config is missing required section {required!r}")
 
     try:
-        measure = _read_measure(raw["measure"])
-        weight = _read_weight(raw["weight"])
-        top = {("lam" if k == "lambda" else k): parse(raw[k]) for k, parse in _TOP.items() if k in raw}
+        top = {("lam" if k == "lambda" else k): _read_key(k, raw[k], spec) for k, spec in _TOP.items() if k in raw}
         return ExperimentConfig(
-            measure=measure,
-            weight=weight,
             schedule=YSchedule(**_section(raw, "schedule")),
             tolerances=Tolerances(**_section(raw, "tolerances")),
             **top,

@@ -498,6 +498,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         ("tolerances convergence", {"tolerances": {"convergence": "1e-4"}}),
         ("compactness s", {"compactness": {"s": False}}),
         ("compactness radii", {"compactness": {"s": 1.0, "radii": [0.5, "1"]}}),
+        ("compactness radii must be a JSON array", {"compactness": {"radii": "12"}}),
         ("holder point", {"holder": {"point": float("nan")}}),
         ("holder r_max", {"holder": {"r_max": float("inf")}}),
         ("holder ratio", {"holder": {"ratio": None}}),
@@ -520,7 +521,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
     ids=[
         "regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float",
         "lambda-string", "lambda-bool", "lambda-nan", "lambda-huge-int", "y_min-inf", "ratio-string",
-        "convergence-string", "s-bool", "radii-string", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
+        "convergence-string", "s-bool", "radii-string", "radii-not-array", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
         "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
         "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
         "weight-suport-typo", "support-three-edges", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
@@ -587,6 +588,30 @@ MALFORMED_MEASURE_OR_WEIGHT = {
         {"weight": {**PLATEAU_WEIGHT, "support": [-2.0, 2.0]}},
         "bad config value: serialized weight support does not match its parameters",
     ),
+    "ac-parts-int": (
+        {"measure": {"ac_parts": 5}},
+        "measure ac_parts must be a JSON array, got 5",
+    ),
+    "support-string": (
+        {"measure": {"ac_parts": [{**constant_part(), "support": "ab"}]}},
+        "measure support must be a JSON array, got 'ab'",
+    ),
+    "atoms-object": (
+        {"measure": {"atoms": {"location": 0, "mass": 1}}},
+        "measure atoms must be a JSON array, got {'location': 0, 'mass': 1}",
+    ),
+    "weight-support-float": (
+        {"weight": {**PLATEAU_WEIGHT, "support": 1.0}},
+        "weight support must be a JSON array, got 1.0",
+    ),
+    "kind-list": (
+        {"measure": {"ac_parts": [{**constant_part(), "kind": ["constant"]}]}},
+        "measure kind must be a string, got ['constant']",
+    ),
+    "weight-kind-list": (
+        {"weight": {**PLATEAU_WEIGHT, "kind": ["plateau"]}},
+        "weight kind must be a string, got ['plateau']",
+    ),
 }
 
 
@@ -606,6 +631,14 @@ def test_an_echoed_config_loads_as_the_same_config(measure, weight):
         path = Path(tmp) / "echo.json"
         path.write_text(json.dumps(cfg.echo()))
         assert load_config(path) == cfg
+
+
+def test_a_smooth_bump_without_support_loads_with_its_derived_support(tmp_path):
+    parameters = {"level": 1.0, "center": 0.25, "half_width": 0.5}
+    measure = {"ac_parts": [{"kind": "smooth_bump", "parameters": parameters}]}
+    cfg = load_config(write_config(tmp_path / "c.json", measure=measure))
+    assert cfg.measure.ac_parts == (DensityFamily("smooth_bump", parameters),)
+    assert cfg.measure.ac_parts[0].support == (-0.25, 0.75)
 
 
 def test_integer_numbers_read_as_floats(tmp_path):

@@ -63,6 +63,13 @@ def test_schedule_rejects_an_infinite_y_max():
         YSchedule(y_max=math.inf)
 
 
+def test_schedule_rejects_an_overlong_ladder():
+    # a ratio of 0.9999 from 0.1 down to 1e-6 is a ladder of 115,000 values,
+    # rebuilt on every access to values; a ratio just below 1 makes one of 1e17
+    with pytest.raises(ValueError, match="at most 10000 are allowed"):
+        YSchedule(ratio=0.9999)
+
+
 def test_limit_probe_constant_evaluator():
     report = limit_probe(lambda z: 3.0 + 1.0j, 0.0, SCHED)
     assert report.verdict == CONVERGES
