@@ -17,35 +17,38 @@ clamp(Re z, lo, hi) taken from inside the piece,
 
 The subtracted integrand is bounded near Re z for Lipschitz phi and only
 integrably singular for Holder phi, so panel quadrature resolves it on seed
-breakpoints graded geometrically (ratio ``GRADING``) toward two kinds of edge.
-Toward the clamp point the grading goes down to half its distance from z, so
-the panel error estimate sees the O(y |phi'|) term that lives within |Im z| of
-Re z.  Toward a cusp of phi, an edge the catalog lists in ``cusps()`` (a
-power_bump or power_hat centre, with Holder exponent below 1), it goes down to
-one grading step above the width at which the quadrature freezes a panel there.
-The seed grid then usually meets the target in one integrand call, at every y
-and at y = 0+.  At Im z = 0+ the logs take the branch below the axis,
-which yields the principal value plus the Plemelj jump ``i pi w(lam)^2
-rho(lam)`` directly, valid when w^2 rho is Holder at ``lam``.  Catalog
-families are continuous on their closed supports, and every support edge and
-the cut at Re z are piece edges, so a jump of the one-sided values c at Re z
-is exactly a jump of w^2 rho there; at y = 0+ it raises NotHolder.  A step
-within rounding of c's size (``FREEZE`` relative) is no jump: data continuous
-in exact arithmetic, rounded differently on the two sides, has one.
+breakpoints graded geometrically (ratio ``GRADING``) toward three kinds of
+edge.  Toward Re z, and toward a cusp of phi (an edge the catalog lists in
+``cusps()``: a power_bump or power_hat centre with Holder exponent below 1), it
+goes down to one grading step above the width at which the quadrature freezes
+a panel there, so the panel error estimate sees the O(y |phi'|) term that
+lives within |Im z| of Re z at every y.  Toward the clamp point of a piece
+that does not hold Re z it goes down to half that point's distance from Re z.
+The catalog's ``seeds()`` add breakpoints, not piece edges, on a smooth_bump's
+shoulders, where it falls from its level to below rounding of it.  No seed
+depends on y, and the seed grid usually meets the target in one integrand
+call, at every y and at y = 0+.
+
+At Im z = 0+ the logs take the branch below the axis, which yields the
+principal value plus the Plemelj jump ``i pi w(lam)^2 rho(lam)`` directly,
+valid when w^2 rho is Holder at ``lam``.  Catalog families are continuous on
+their closed supports, and every support edge and the cut at Re z are piece
+edges, so a jump of the one-sided values c at Re z is exactly a jump of
+w^2 rho there; at y = 0+ it raises NotHolder.  A step within rounding of c's
+size (``FREEZE`` relative) is no jump: data continuous in exact arithmetic,
+rounded differently on the two sides, has one.
 
 A y-ladder at one lam calls the kernel again and again with the same data and
 Re z, and everything but the y-dependent terms depends on those alone: the
-piece edges, c, the rises of c at the edges, the atoms' m w(loc)^2 and the
-seeds graded into the cusps.  They form a plan, and the last plan is kept in
+piece edges, c, the rises of c at the edges, the atoms' m w(loc)^2, the seed
+grid and phi - c on its nodes.  They form a plan, and the last plan is kept in
 one slot, reused while (measure, weight, Re z) compares equal; measures and
 weights are frozen, their parameters included, so equal keys mean equal data.
-Seeds toward the pole are the only ones that move with y, so the plan also
-keeps the last rung's pole seeds, its seed grid and phi - c on the grid's
-nodes.  A rung with equal pole seeds (every rung whose pole grading stops
-above a cusp's) takes that grid and those values and makes no catalog call;
-the quadrature's first integrand call is on the grid's own node array, so one
-identity test finds them.  Each shared number is the one the same operations
-give at the first rung, so a shared plan changes no result, bit for bit.
+Every rung of a ladder and its boundary value integrate over the plan's one
+grid, and a rung that does not bisect makes no catalog call: the quadrature's
+first integrand call is on the grid's own node array, so one identity test
+finds phi - c on it.  Each shared number is the one the same operations give
+at the first rung, so a shared plan changes no result, bit for bit.
 
 Near/far splitting truncates densities at ``lam +- eps`` and routes atoms by
 the open interval ``(lam - eps, lam + eps)``; the far part obeys the a priori
@@ -75,7 +78,7 @@ __all__ = [
     "weighted_mass",
 ]
 
-GRADING = 0.25  # ratio of successive seed distances toward the pole or a cusp
+GRADING = 0.25  # ratio of successive seed distances toward Re z or a cusp
 
 
 @dataclass(frozen=True)
@@ -113,21 +116,21 @@ def _piece_edges(measure: SpectralMeasure, weight: WeightFunction, cuts: tuple =
     return sorted({a, b}.union(p for p in points if a < p < b))
 
 
-def _graded(e: float, side: float, step: float, stop: float) -> tuple:
+def _graded(e: float, side: float, step: float, stop: float) -> list:
     """Seeds ``e + side * step`` while ``step`` exceeds ``stop``, each step
-    GRADING times the last, and the first step that does not."""
+    GRADING times the last."""
     seeds = []
     while stop < step:
         seeds.append(e + side * step)
         step *= GRADING
-    return seeds, step
+    return seeds
 
 
 class _Plan:
     """What C(z) needs from the data and Re z alone, shared by a ladder's
     rungs: the piece edges and their one-sided values c, the nonzero rises of
-    c at the edges, the atoms' m w(loc)^2, the seeds graded into the cusps,
-    and the last rung's pole seeds, seed grid and phi - c on its nodes."""
+    c at the edges, the atoms' m w(loc)^2, the seed grid and phi - c on its
+    nodes."""
 
     def __init__(self, measure: SpectralMeasure, weight: WeightFunction, x0: float):
         self.key = (measure, weight, x0)
@@ -136,7 +139,6 @@ class _Plan:
         # an atom F cannot see adds nothing, and at y = 0 its term would divide by zero
         self.atoms = [(a.location, mw) for a, wa in zip(measure.atoms, w) if (mw := a.mass * wa ** 2)]
         self.edges = edges = _piece_edges(measure, weight, cuts=(x0,))
-        self.last = None  # (pole seeds, seed grid, phi - c on its nodes) of the last rung
         if not edges:
             return
         lo, hi = np.array(edges[:-1]), np.array(edges[1:])
@@ -155,19 +157,22 @@ class _Plan:
         )
         self.inner = np.array(edges[1:-1])
 
-        # toward a cusp the seeds go down to one grading step above the freeze
-        # width there (nearer in, node rounding swamps the panel error
-        # estimates); the edges at the clamp point p keep where their cusp
-        # grading stopped, for the per-y grading toward the pole
-        cusps = {*measure.cusps(), *weight.cusps()}
-        self.breaks, self.poles = edges[1:-1], []
+        # toward Re z and toward a cusp the seeds go down to one grading step
+        # above the freeze width there (nearer in, node rounding swamps the
+        # panel error estimates); toward the clamp point of a piece that does
+        # not hold Re z, down to half its distance from Re z.  So the panel
+        # error estimate sees the O(y |phi'|) term within |Im z| of Re z at
+        # every y, and one grid serves every rung
+        sharp = {*measure.cusps(), *weight.cusps(), x0}
+        breaks = [*edges[1:-1], *measure.seeds()]
         for p, a, b in zip(near.tolist(), edges[:-1], edges[1:]):
             for e, side in ((a, 1.0), (b, -1.0)):
-                stop = FREEZE / GRADING * (abs(e) or b - a) if e in cusps else math.inf
-                seeds, step = _graded(e, side, GRADING * (b - a), stop)
-                self.breaks += seeds
-                if e == p:
-                    self.poles.append((e, side, step, stop))
+                stop = FREEZE / GRADING * (abs(e) or b - a) if e in sharp else math.inf
+                if e == p != x0:
+                    stop = min(stop, 0.5 * abs(e - x0))
+                breaks += _graded(e, side, GRADING * (b - a), stop)
+        self.grid = seed_grid(edges[0], edges[-1], breaks)
+        self.on_grid = self.numerator(self.grid.nodes)
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         """w^2 rho at the nodes x."""
@@ -177,15 +182,6 @@ class _Plan:
     def numerator(self, x: np.ndarray) -> np.ndarray:
         """phi - c at the nodes x, c the value of the piece holding each node."""
         return self.phi(x) - self.cs[np.searchsorted(self.inner, x, side="right")]
-
-    def seeded(self, pole_seeds: list) -> tuple:
-        """The seed grid of a rung with these seeds toward the pole, and
-        phi - c on its nodes: the last rung's, when its pole seeds are equal."""
-        last = self.last
-        if last is None or last[0] != pole_seeds:
-            grid = seed_grid(self.edges[0], self.edges[-1], self.breaks + pole_seeds)
-            last = self.last = (pole_seeds, grid, self.numerator(grid.nodes))
-        return last[1:]
 
 
 _last_plan = None  # one slot: consecutive calls on one ladder share its plan
@@ -212,14 +208,7 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
         if y or e != x0:
             total -= rise * cmath.log(complex(e - x0, -y))
 
-    # toward the pole the seeds go down to half its distance from z, so the
-    # panel error estimate sees the O(y |phi'|) term within |Im z| of Re z
-    pole_seeds = []
-    for e, side, step, stop in plan.poles:
-        reach = abs(complex(e - x0, y))
-        if reach and 0.5 * reach < stop:
-            pole_seeds += _graded(e, side, step, 0.5 * reach)[0]
-    grid, on_grid = plan.seeded(pole_seeds)
+    grid, on_grid = plan.grid, plan.on_grid
 
     def subtracted(x):
         num = on_grid if x is grid.nodes else plan.numerator(x)
@@ -317,15 +306,15 @@ def weighted_mass(
     """Total mass of w^2 d mu: quadrature over densities plus atom terms.
 
     The seed grid is a kernel plan's with no cut and no pole (Re z = -inf):
-    the piece edges and the seeds graded into the cusps.  The plan is built
-    apart from the one a ladder keeps.  Returns (value, error_estimate).
+    the piece edges, the catalog's seeds and the seeds graded into the cusps.
+    The plan is built apart from the one a ladder keeps.  Returns (value,
+    error_estimate).
     """
     plan = _Plan(measure, weight, -math.inf)
     total = 0.0
     err = 0.0
     if plan.edges:
-        grid = seed_grid(plan.edges[0], plan.edges[-1], plan.breaks)
-        res = integrate_adaptive(plan.phi, grid, abs_tol=abs_tol)
+        res = integrate_adaptive(plan.phi, plan.grid, abs_tol=abs_tol)
         total, err = res.value.real, res.error
     for _, mw in plan.atoms:
         total += mw

@@ -158,11 +158,14 @@ def read_value(name: str, value, kind: type):
     return value
 
 
-def read_object(name: str, value, keys) -> dict:
-    """A JSON object whose keys all lie in ``keys``."""
+def read_object(name: str, value, keys, required=()) -> dict:
+    """A JSON object whose keys all lie in ``keys`` and include ``required``."""
     unknown = set(read_value(name, value, dict)) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{name} is missing key {key!r}")
     return value
 
 
@@ -175,7 +178,7 @@ def _read_parameters(name: str, value) -> dict:
 
 
 def _read_density(raw) -> DensityFamily:
-    raw = read_object("measure ac_parts entry", raw, ("kind", "parameters", "support"))
+    raw = read_object("measure ac_parts entry", raw, ("kind", "parameters", "support"), ("kind", "parameters"))
     return DensityFamily(
         read_value("measure kind", raw["kind"], str),
         _read_parameters("measure parameters", raw["parameters"]),
@@ -187,7 +190,7 @@ def _read_measure(name: str, raw) -> SpectralMeasure:
     raw = read_object(name, raw, ("ac_parts", "atoms"))
     parts = read_value("measure ac_parts", raw.get("ac_parts", []), list)
     atoms = read_value("measure atoms", raw.get("atoms", []), list)
-    atoms = [read_object("measure atom", a, ("location", "mass")) for a in atoms]
+    atoms = [read_object("measure atom", a, ("location", "mass"), ("location", "mass")) for a in atoms]
     return SpectralMeasure(
         tuple(_read_density(p) for p in parts),
         tuple(Atom(*(read_value(f"atom {k}", a[k], float) for k in ("location", "mass"))) for a in atoms),
@@ -195,7 +198,7 @@ def _read_measure(name: str, raw) -> SpectralMeasure:
 
 
 def _read_weight(name: str, raw) -> WeightFunction:
-    raw = read_object(name, raw, ("kind", "parameters", "support"))
+    raw = read_object(name, raw, ("kind", "parameters", "support"), ("kind", "parameters"))
     kind = read_value("weight kind", raw["kind"], str)
     weight = WeightFunction(kind, _read_parameters("weight parameters", raw["parameters"]))
     if "support" in raw and _read_numbers("weight support", raw["support"]) != weight.support:

@@ -3,7 +3,8 @@
 Densities and weights come from a closed catalog of families instead of
 arbitrary callables.  That lets the quadrature layer place panel breakpoints
 at the exact kink/cusp locations of each family and grade its panels toward
-the cusps (``cusps()``).  Every family is continuous on its closed support,
+the cusps (``cusps()``), and to split a smooth_bump's shoulders on its seed
+grid (``seeds()``).  Every family is continuous on its closed support,
 so w^2 rho can jump only at a support edge; whether it does at a probe point
 is the transform kernel's question.  Fitting a Holder exponent from a
 family's increments is a rate fit, and lives with the others in
@@ -49,6 +50,11 @@ _DENSITY_PARAMS = {
     "power_bump": frozenset({"level", "exponent", "center"}),
     "smooth_bump": frozenset({"level", "center", "half_width"}),
 }
+
+# a smooth_bump's shoulders, t = 1 - 2^-k from its centre toward either
+# support edge: at k = 7 the bump is exp(1 - 1/(1 - t^2)) < 1e-27 of its
+# level, below rounding of the level, and at k = 6 it is not
+_SHOULDERS = tuple(1.0 - 0.5 ** k for k in range(1, 8))
 
 _WEIGHT_PARAMS = {
     "hat": frozenset({"center", "half_width"}),
@@ -153,6 +159,17 @@ class DensityFamily(_Family):
         cusp = self.kind == "power_bump" and p["exponent"] < 1.0 and lo <= p["center"] <= hi
         return (p["center"],) if cusp else ()
 
+    def seeds(self) -> tuple:
+        """Points inside the support where a seed grid should split, though
+        the family is smooth there: a smooth_bump's shoulders, where it falls
+        from its level to below rounding of it."""
+        if self.kind != "smooth_bump":
+            return ()
+        p = self.parameters
+        lo, hi = self.support
+        points = (p["center"] + side * t * p["half_width"] for t in _SHOULDERS for side in (-1.0, 1.0))
+        return tuple(x for x in points if lo < x < hi)
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -202,6 +219,10 @@ class SpectralMeasure:
     def cusps(self) -> tuple:
         """Cusps of the parts: where a part's Holder exponent is below 1."""
         return tuple(c for part in self.ac_parts for c in part.cusps())
+
+    def seeds(self) -> tuple:
+        """Seed points of the parts: where a seed grid splits a smooth part."""
+        return tuple(s for part in self.ac_parts for s in part.seeds())
 
 
 @dataclass(frozen=True)

@@ -302,24 +302,23 @@ def test_weighted_mass_between_rungs_leaves_the_ladder_its_grid(monkeypatch):
     assert len(calls) == ladder_calls + len(ladder) * mass_calls
 
 
-def _reference_breakpoints(measure, weight, z):
-    """The kernel's breakpoints as the grading loop gives them, rung by rung."""
-    x0, y = z.real, z.imag
+def _reference_breakpoints(measure, weight, x0):
+    """The kernel's breakpoints as the grading loop gives them: the same at
+    every y, y = 0 included."""
     edges = ct._piece_edges(measure, weight, cuts=(x0,))
-    cusps = {*measure.cusps(), *weight.cusps()}
-    seeds = []
+    sharp = {*measure.cusps(), *weight.cusps(), x0}
+    seeds = list(measure.seeds())
     for lo, hi in zip(edges[:-1], edges[1:]):
         p = min(max(x0, lo), hi)
         for e, side in ((lo, 1.0), (hi, -1.0)):
-            reach = abs(complex(e - x0, y))
-            stops = [0.5 * reach] if e == p and reach else []
-            if e in cusps:
+            stops = [0.5 * abs(e - x0)] if e == p != x0 else []
+            if e in sharp:
                 stops.append(ct.FREEZE / ct.GRADING * (abs(e) or hi - lo))
             step = ct.GRADING * (hi - lo)
             while stops and min(stops) < step:
                 seeds.append(e + side * step)
                 step *= ct.GRADING
-    return sorted(edges[1:-1] + seeds)
+    return sorted({p for p in edges[1:-1] + seeds if edges[0] < p < edges[-1]})
 
 
 class _Breakpoints(Exception):
@@ -327,23 +326,58 @@ class _Breakpoints(Exception):
 
 
 def _raise_breakpoints(a, b, breakpoints):
-    raise _Breakpoints(sorted(breakpoints))
+    raise _Breakpoints(sorted({p for p in breakpoints if a < p < b}))
 
 
 @given(spectral_measures(), weight_functions(), st.data())
 @settings(max_examples=25)
 def test_seeds_follow_the_grading_loop_at_every_y(measure, weight, data):
     x0 = _draw_re_z(data, measure, weight)
-    ct._last_plan = None  # a plan holding a seed grid for these pole seeds would not build one
+    # a plan with a piece builds its grid before anything else can raise, so
+    # a failed build leaves no plan behind, and every y builds one
+    reference = _reference_breakpoints(measure, weight, x0) if ct._piece_edges(measure, weight, (x0,)) else None
     with mock.patch.object(ct, "seed_grid", _raise_breakpoints):
         for y in (1e-1, 1e-12, 1e-13, 1e-200, 5e-324, 0.0):
-            z = complex(x0, y)
+            got = None
             try:
-                ct._transform(measure, weight, z, 1e-10)
-            except _Breakpoints as got:
-                assert got.args[0] == _reference_breakpoints(measure, weight, z), y
-            except (NotHolder, AtomAtProbe):
+                ct._transform(measure, weight, complex(x0, y), 1e-10)
+            except _Breakpoints as built:
+                got = built.args[0]
+            except AtomAtProbe:
                 pass
+            assert got == reference, y
+
+
+def test_a_ladder_builds_one_grid_and_calls_its_integrand_once_a_rung(monkeypatch):
+    # the golden record's smooth-cosine data at a generic lambda: every rung
+    # and the boundary value integrate over the plan's one seed grid, whose
+    # panels meet the target, and no rung calls the catalog
+    measure = SpectralMeasure((DensityFamily("smooth_bump", {"level": 1.2, "center": 0.0, "half_width": 0.8}),))
+    weight = WeightFunction("cosine_bump", {"center": 0.0, "half_width": 1.0})
+    grids, integrand_calls, catalog_calls = [], [], []
+    seed_grid, integrate_adaptive, catalog = ct.seed_grid, ct.integrate_adaptive, SpectralMeasure.density_values
+
+    def building(*args):
+        grids.append(seed_grid(*args))
+        return grids[-1]
+
+    def integrating(f, grid, abs_tol):
+        return integrate_adaptive(lambda x: integrand_calls.append(x.size) or f(x), grid, abs_tol=abs_tol)
+
+    def density_values(self, x):
+        catalog_calls.append(len(x))
+        return catalog(self, x)
+
+    monkeypatch.setattr(ct, "seed_grid", building)
+    monkeypatch.setattr(ct, "integrate_adaptive", integrating)
+    monkeypatch.setattr(SpectralMeasure, "density_values", density_values)
+    ct._last_plan = None
+    rungs = [evaluate_offaxis(measure, weight, complex(0.31, 10.0 ** -k)) for k in range(1, 13)]
+    rungs.append(ct._transform(measure, weight, complex(0.31, 0.0), ct.DEFAULT_ABS_TOL))
+    assert all(tv.tolerance_met for tv in rungs)
+    assert len(grids) == 1
+    assert integrand_calls == [grids[0].nodes.size] * 13
+    assert catalog_calls == [grids[0].nodes.size]
 
 
 def test_plans_for_data_differing_in_one_parameter_stay_apart():

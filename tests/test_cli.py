@@ -574,7 +574,23 @@ MALFORMED_MEASURE_OR_WEIGHT = {
     ),
     "kind-missing": (
         {"measure": {"ac_parts": [{"parameters": {"level": 1.0}, "support": [-1.0, 1.0]}]}},
-        "bad config value: 'kind'",
+        "measure ac_parts entry is missing key 'kind'",
+    ),
+    "parameters-missing": (
+        {"measure": {"ac_parts": [{"kind": "constant", "support": [-1.0, 1.0]}]}},
+        "measure ac_parts entry is missing key 'parameters'",
+    ),
+    "atom-location-missing": (
+        {"measure": {"atoms": [{"mass": 1.0}]}},
+        "measure atom is missing key 'location'",
+    ),
+    "atom-mass-missing": (
+        {"measure": {"atoms": [{"location": 0.0}]}},
+        "measure atom is missing key 'mass'",
+    ),
+    "weight-kind-missing": (
+        {"weight": {"parameters": {"center": 0.0, "half_width": 1.0}}},
+        "weight is missing key 'kind'",
     ),
     "weight-unknown-key": (
         {"weight": {**PLATEAU_WEIGHT, "shape": 1}},

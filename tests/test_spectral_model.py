@@ -57,6 +57,19 @@ def test_cosine_bump_closed_form_point():
     assert w(0.5) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_smooth_bump_seeds_halve_toward_each_edge_until_the_bump_is_below_rounding():
+    level, center, h = 1.5, 0.25, 0.5
+    bump = DensityFamily("smooth_bump", {"level": level, "center": center, "half_width": h})
+    ts = [1.0 - 0.5 ** k for k in range(1, 8)]
+    assert sorted(bump.seeds()) == sorted(center + side * t * h for t in ts for side in (-1.0, 1.0))
+    outer, last = (math.exp(1.0 - 1.0 / (1.0 - t * t)) for t in ts[-2:])
+    assert last * level < 0.5 * math.ulp(level) <= outer * level
+    # a cut support keeps the seeds inside it; other families have none
+    cut = DensityFamily("smooth_bump", dict(bump.parameters), (center, center + h))
+    assert cut.seeds() == tuple(center + t * h for t in ts)
+    assert DensityFamily("constant", {"level": 1.0}, (-1.0, 1.0)).seeds() == ()
+
+
 def test_estimate_holder_sqrt_cusp():
     est = fit(lambda x: abs(x) ** 0.5, 0.0)
     assert 0.45 <= est.alpha_hat <= 0.55

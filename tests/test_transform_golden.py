@@ -1,11 +1,13 @@
 """Every field of the kernel's TransformValues on a few fixed catalog ladders,
 bit for bit, against a record kept in ``transform_golden.json``.
 
-The record was written by the kernel as it stood before the quadrature kept
-its seed grid in a memo, so it checks the memo, the C sums and the plain
-off-axis divide against an independent result.  It holds ``float.hex`` of
-every float, so signed zeros and the last bit count.  To print the record the
-current code gives:
+The cusp-centre ladders were written by the kernel as it stood before the
+quadrature kept its seed grid in a memo, so they check the memo, the C sums
+and the plain off-axis divide against an independent result.  The other
+ladders were written once the plan built one seed grid per ladder; each value
+was then within 2e-15 of a 40-digit reference.  The record holds
+``float.hex`` of every float, so signed zeros and the last bit count.  To
+print the record the current code gives:
 
     PYTHONPATH=src python tests/test_transform_golden.py
 """
@@ -38,7 +40,7 @@ CASES = {
         0.2,
         atoms=((0.8, 0.4),),
     ),
-    # generic lambda: the grid moves with y, and tiny y exhausts the panel budget
+    # generic lambda: one seed grid, graded toward lambda, serves every rung
     "smooth-cosine@0.31": _case(
         DensityFamily("smooth_bump", {"level": 1.2, "center": 0.0, "half_width": 0.8}),
         WeightFunction("cosine_bump", {"center": 0.0, "half_width": 1.0}),
@@ -50,7 +52,7 @@ CASES = {
         -0.2,
         atoms=((0.7, 0.5),),
     ),
-    # bisection rounds after the seed grid
+    # a power_hat cusp away from lambda, and an atom
     "smooth-powerhat-atom@0.3": _case(
         DensityFamily("smooth_bump", {"level": 1.1, "center": 0.0, "half_width": 0.9}),
         WeightFunction("power_hat", {"center": 0.0, "half_width": 1.0, "exponent": 0.6}),
