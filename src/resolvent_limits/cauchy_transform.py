@@ -172,7 +172,7 @@ class _Plan:
                     stop = min(stop, 0.5 * abs(e - x0))
                 breaks += _graded(e, side, GRADING * (b - a), stop)
         self.grid = seed_grid(edges[0], edges[-1], breaks)
-        self.on_grid = self.numerator(self.grid.nodes)
+        self.on_grid = None  # phi - c on the grid's nodes, set by the first rung; weighted_mass never reads it
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         """w^2 rho at the nodes x."""
@@ -208,6 +208,8 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
         if y or e != x0:
             total -= rise * cmath.log(complex(e - x0, -y))
 
+    if plan.on_grid is None:
+        plan.on_grid = plan.numerator(plan.grid.nodes)
     grid, on_grid = plan.grid, plan.on_grid
 
     def subtracted(x):

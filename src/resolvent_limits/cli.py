@@ -212,6 +212,13 @@ def _read_embedding_dim(name: str, value):
     raise ConfigError(f"{name} must be {SAME!r} or a positive integer, got {value!r}")
 
 
+def _read_output_prefix(name: str, value) -> str:
+    # a separator would put the outputs outside --out
+    if {"/", "\\"} & set(read_value(name, value, str)):
+        raise ConfigError(f"{name} must be a file name prefix with no path separator, got {value!r}")
+    return value
+
+
 def _read_key(name: str, value, spec):
     """One config value read by its key's spec: a kind of ``read_value``, a
     tuple of the strings allowed, or a reader taking (name, value)."""
@@ -235,7 +242,7 @@ _TOP = {
     "evaluator": ("transform", "matrix"),
     "regularize": bool,
     "seed": int,
-    "output_prefix": str,
+    "output_prefix": _read_output_prefix,
 }
 _SECTIONS = {
     "schedule": {"y_max": float, "y_min": float, "ratio": float},

@@ -131,31 +131,32 @@ def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple:
     return float(slope), rms, float(intercept)
 
 
-def _unpack(sample) -> tuple:
-    """Normalize an evaluator result to (shadow, norm, tag, accounting), the
-    accounting being the quadrature's (error estimate, panels, tolerance met)
-    for a transform sample and Nones for the others."""
-    if isinstance(sample, OperatorSample):
-        return sample.trace, float(sample.norm), "matrix", (None, None, None)
-    if isinstance(sample, TransformValue):
-        v = complex(sample.value)
-        return v, abs(v), "transform", (sample.abs_error_estimate, sample.panels_used, sample.tolerance_met)
-    v = complex(sample)
-    return v, abs(v), "scalar", (None, None, None)
-
-
-def _ladder(evaluator: Callable[[complex], object], lam: float, schedule: YSchedule):
-    """Yield (y, raw sample, (shadow, norm, tag, accounting)) down the schedule.
+def _rungs(evaluator: Callable[[complex], object], lam: float, schedule: YSchedule) -> list:
+    """One ProbeSample per rung down the schedule, each with its distance to
+    the one before: the operator-norm distance between two matrix samples,
+    |shadow difference| otherwise.
 
     Evaluator exceptions are re-raised as EvaluatorFailure carrying the
     offending y.
     """
+    samples, last = [], None  # last: the previous rung's evaluator result
     for y in schedule.values:
         try:
             raw = evaluator(complex(lam, y))
         except Exception as exc:
             raise EvaluatorFailure(y, exc) from exc
-        yield y, raw, _unpack(raw)
+        if isinstance(raw, OperatorSample):
+            diff = raw.distance(last) if samples else math.nan
+            sample = ProbeSample(y, raw.trace, float(raw.norm), diff, "matrix")
+        else:
+            transform = isinstance(raw, TransformValue)
+            v = complex(raw.value if transform else raw)
+            diff = abs(v - samples[-1].shadow) if samples else math.nan
+            accounting = (raw.abs_error_estimate, raw.panels_used, raw.tolerance_met) if transform else ()
+            sample = ProbeSample(y, v, abs(v), diff, "transform" if transform else "scalar", *accounting)
+        samples.append(sample)
+        last = raw
+    return samples
 
 
 def limit_probe(
@@ -170,60 +171,32 @@ def limit_probe(
     OperatorSample.  Evaluator exceptions are re-raised as EvaluatorFailure
     carrying the offending y.
     """
-    samples = []
-    prev = None
-    for y, raw, (shadow, norm, tag, accounting) in _ladder(evaluator, lam, schedule):
-        if prev is None:
-            diff = float("nan")
-        elif isinstance(raw, OperatorSample):
-            diff = raw.distance(prev)
-        else:
-            diff = abs(shadow - samples[-1].shadow)
-        samples.append(ProbeSample(y, shadow, norm, diff, tag, *accounting))
-        prev = raw
-
+    samples = tuple(_rungs(evaluator, lam, schedule))
     ys = np.array([s.y for s in samples])
     norms = np.array([s.norm for s in samples])
     diffs = np.array([s.diff for s in samples[1:]])
 
-    verdict = INCONCLUSIVE
-    fitted_rate = 0.0
-    rate_residual = 0.0
-    limit_estimate: complex | None = None
+    def report(verdict, rate, residual, limit=None):
+        return LimitReport(float(lam), schedule, samples, verdict, rate, limit, residual)
 
     # only increasing norms are fitted: nothing else reads the slope
-    increasing = np.all(norms[1:] >= norms[:-1] * (1.0 - 1e-9)) and norms[-1] > norms[0]
-    norm_slope, norm_res = (0.0, 0.0)
-    if increasing and np.all(norms > 0):
-        norm_slope, norm_res, _ = _loglog_fit(ys, norms)
+    if np.all(norms[1:] >= norms[:-1] * (1.0 - 1e-9)) and norms[-1] > norms[0] and np.all(norms > 0):
+        slope, residual, _ = _loglog_fit(ys, norms)
+        if slope <= -0.5 and residual < 0.1:
+            return report(DIVERGES, slope, residual)
 
-    if increasing and norm_slope <= -0.5 and norm_res < 0.1:
-        verdict = DIVERGES
-        fitted_rate = norm_slope
-        rate_residual = norm_res
-    else:
-        pos = diffs > 0
-        if np.count_nonzero(pos) >= 2:
-            fitted_rate, rate_residual, _ = _loglog_fit(ys[:-1][pos], diffs[pos])
-        nonincreasing = np.all(diffs[1:] <= diffs[:-1] * 1.1 + 1e-300)
-        if diffs.size and nonincreasing and diffs[-1] <= tolerance:
-            verdict = CONVERGES
-            limit_estimate = samples[-1].shadow
-            if fitted_rate > 0 and rate_residual < 0.05 and diffs[-1] > 0:
-                # one-term Richardson step along the fitted power law
-                rho = schedule.ratio ** fitted_rate
-                step = samples[-1].shadow - samples[-2].shadow
-                limit_estimate = samples[-1].shadow + step * rho / (1.0 - rho)
-
-    return LimitReport(
-        lam=float(lam),
-        schedule=schedule,
-        samples=tuple(samples),
-        verdict=verdict,
-        fitted_rate=float(fitted_rate),
-        limit_estimate=limit_estimate,
-        rate_residual=float(rate_residual),
-    )
+    rate = residual = 0.0
+    pos = diffs > 0
+    if np.count_nonzero(pos) >= 2:
+        rate, residual, _ = _loglog_fit(ys[:-1][pos], diffs[pos])
+    if not (np.all(diffs[1:] <= diffs[:-1] * 1.1 + 1e-300) and diffs[-1] <= tolerance):
+        return report(INCONCLUSIVE, rate, residual)
+    limit = samples[-1].shadow
+    if rate > 0 and residual < 0.05 and diffs[-1] > 0:
+        # one-term Richardson step along the fitted power law
+        rho = schedule.ratio ** rate
+        limit += (limit - samples[-2].shadow) * rho / (1.0 - rho)
+    return report(CONVERGES, rate, residual, limit)
 
 
 def fit_divergence_rate(norms: Sequence[float], ys: Sequence[float]) -> tuple:
@@ -310,7 +283,7 @@ def stone_density(
     (smallest y), where the Holder error term is negligible.  For catalog
     data this recovers w(lam)^2 rho(lam).
     """
-    estimates = [shadow.imag / math.pi for _, _, (shadow, *_) in _ladder(evaluator, lam, schedule)]
+    estimates = [s.shadow.imag / math.pi for s in _rungs(evaluator, lam, schedule)]
     ys = np.array(schedule.values)
     vals = np.array(estimates)
     tail = max(4, ys.size // 2)

@@ -302,6 +302,23 @@ def test_weighted_mass_between_rungs_leaves_the_ladder_its_grid(monkeypatch):
     assert len(calls) == ladder_calls + len(ladder) * mass_calls
 
 
+def test_weighted_mass_calls_the_catalog_once_for_its_integrand(monkeypatch):
+    # the mass integrates phi, so its plan never evaluates phi - c on the
+    # seed grid: one density call, and weight calls for the atom, the
+    # one-sided values and phi
+    measure = SpectralMeasure(
+        (DensityFamily("power_bump", {"level": 1.0, "exponent": 0.5, "center": 0.2}, (-0.4, 0.8)),),
+        (Atom(0.1, 0.5),),
+    )
+    weight = WeightFunction("hat", {"center": 0.0, "half_width": 1.0})
+    calls = []
+    for cls, name in (WeightFunction, "values"), (SpectralMeasure, "density_values"):
+        f = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, x, f=f: calls.append(f.__name__) or f(self, x))
+    weighted_mass(measure, weight)
+    assert (calls.count("density_values"), calls.count("values")) == (1, 3)
+
+
 def _reference_breakpoints(measure, weight, x0):
     """The kernel's breakpoints as the grading loop gives them: the same at
     every y, y = 0 included."""

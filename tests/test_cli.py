@@ -503,6 +503,8 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         ("holder r_max", {"holder": {"r_max": float("inf")}}),
         ("holder ratio", {"holder": {"ratio": None}}),
         ("output_prefix", {"output_prefix": 5}),
+        ("output_prefix must be a file name prefix", {"output_prefix": "../escaped"}),
+        ("output_prefix must be a file name prefix", {"output_prefix": "sub/x"}),
         ("level", {"measure": {"ac_parts": [constant_part(level="1.0")]}}),
         ("level", {"measure": {"ac_parts": [constant_part(level=True)]}}),
         ("support", {"measure": {"ac_parts": [constant_part(support=("-1", True))]}}),
@@ -522,6 +524,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         "regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float",
         "lambda-string", "lambda-bool", "lambda-nan", "lambda-huge-int", "y_min-inf", "ratio-string",
         "convergence-string", "s-bool", "radii-string", "radii-not-array", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
+        "prefix-parent-dir", "prefix-subdir",
         "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
         "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
         "weight-suport-typo", "support-three-edges", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
@@ -531,14 +534,16 @@ def test_config_types_are_exact(tmp_path, key, overrides):
     # a string "false" used to run a regularized probe, 13.9 became n = 13,
     # "0.3" became lambda = 0.3, and lambda = NaN ran a probe on NaN; a
     # measure level "1.0" or true loaded as 1.0, "measure": 5 escaped as an
-    # AttributeError, a misspelt "atom" key was ignored, and a smooth_bump
-    # support of three edges loaded as its first two
+    # AttributeError, a misspelt "atom" key was ignored, a smooth_bump
+    # support of three edges loaded as its first two, and an output_prefix
+    # "../escaped" wrote its files beside the output directory
     cfg = write_config(tmp_path / "c.json", **{"measure": ATOM_MEASURE, "evaluator": "matrix", **overrides})
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
     out = tmp_path / "out"
     assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 # the full ConfigError text of each malformed measure or weight entry: a

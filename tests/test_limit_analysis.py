@@ -138,6 +138,26 @@ def test_limit_probe_inconclusive_on_slow_drift():
     assert report.verdict == INCONCLUSIVE
 
 
+def test_converges_with_a_richardson_step_past_the_last_sample():
+    # 2 + y^2: the diffs fit rate 2, so the limit is extrapolated beyond the
+    # last sample, which is y^2 = 1.5e-12 off
+    report = limit_probe(lambda z: 2 + z.imag**2, 0.0, YSchedule(1e-2, 1e-6, 0.5))
+    assert report.verdict == CONVERGES
+    assert abs(report.samples[-1].shadow - 2) > 1e-12
+    assert abs(report.limit_estimate - 2) <= 1e-15
+
+
+def test_increasing_norms_off_the_one_over_y_law_are_inconclusive():
+    # y^-0.3 grows monotonically but too slowly for the 1/y rule, and its
+    # diffs grow too, so neither rule fires; the rate comes from the diffs
+    report = limit_probe(lambda z: z.imag**-0.3, 0.0, YSchedule(1e-2, 1e-6, 0.5))
+    norms = [s.norm for s in report.samples]
+    assert norms == sorted(norms)
+    assert report.verdict == INCONCLUSIVE
+    assert report.fitted_rate == pytest.approx(-0.3, abs=1e-12)
+    assert report.limit_estimate is None
+
+
 def test_verdicts_mutually_exclusive_and_tolerance_monotone():
     ev = lambda z: evaluate_offaxis(FLAT, PLATEAU, z)
     loose = limit_probe(ev, 0.0, SCHED, tolerance=1e-4)
