@@ -54,6 +54,7 @@ from .limit_analysis import (
     CONVERGES,
     DIVERGES,
     HolderEstimate,
+    ProbeSample,
     YSchedule,
     compactness_probe,
     estimate_holder,
@@ -201,8 +202,8 @@ def _read_weight(name: str, raw) -> WeightFunction:
     raw = read_object(name, raw, ("kind", "parameters", "support"), ("kind", "parameters"))
     kind = read_value("weight kind", raw["kind"], str)
     weight = WeightFunction(kind, _read_parameters("weight parameters", raw["parameters"]))
-    if "support" in raw and _read_numbers("weight support", raw["support"]) != weight.support:
-        raise ValueError("serialized weight support does not match its parameters")
+    if "support" in raw and (support := _read_numbers("weight support", raw["support"])) != weight.support:
+        raise ConfigError(f"weight support {list(support)} does not match center ± half_width {list(weight.support)}")
     return weight
 
 
@@ -212,10 +213,17 @@ def _read_embedding_dim(name: str, value):
     raise ConfigError(f"{name} must be {SAME!r} or a positive integer, got {value!r}")
 
 
+# the longest output name, <prefix>_holder_increments.csv with its .tmp suffix, then fits in 255 bytes
+MAX_PREFIX_BYTES = 255 - len("_holder_increments.csv.tmp")
+
+
 def _read_output_prefix(name: str, value) -> str:
-    # a separator would put the outputs outside --out
-    if {"/", "\\"} & set(read_value(name, value, str)):
-        raise ConfigError(f"{name} must be a file name prefix with no path separator, got {value!r}")
+    # a separator would put the outputs outside --out; a NUL or a longer name names no file
+    if {"/", "\\", "\0"} & set(read_value(name, value, str)):
+        raise ConfigError(f"{name} must be a file name prefix with no path separator or NUL, got {value!r}")
+    size = len(value.encode())
+    if size > MAX_PREFIX_BYTES:
+        raise ConfigError(f"{name} must take at most {MAX_PREFIX_BYTES} UTF-8 bytes, got {size}")
     return value
 
 
@@ -338,32 +346,23 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
         )
 
     report = limit_probe(ev, cfg.lam, cfg.schedule, tolerance=cfg.tolerances.convergence)
+    # each record's own fields, read shallowly; only what JSON cannot hold as is is spelled out
+    names = [f.name for f in fields(ProbeSample)]
+    samples = [{name: getattr(s, name) for name in names} for s in report.samples]
+    for sample in samples:
+        shadow, diff = sample.pop("shadow"), sample["diff"]
+        sample.update(re=shadow.real, im=shadow.imag, diff=None if math.isnan(diff) else diff)
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
     est = report.limit_estimate
-    doc = {
-        "lambda": report.lam,
-        "verdict": report.verdict,
-        "fitted_rate": report.fitted_rate,
-        "rate_residual": report.rate_residual,
-        "limit_estimate": None if est is None else [est.real, est.imag],
-        "schedule": asdict(report.schedule),
-        "samples": [
-            {
-                "y": s.y,
-                "re": s.shadow.real,
-                "im": s.shadow.imag,
-                "norm": s.norm,
-                "diff": None if math.isnan(s.diff) else s.diff,
-                "tag": s.tag,
-                "abs_error_estimate": s.abs_error_estimate,
-                "panels": s.panels,
-                "tolerance_met": s.tolerance_met,
-            }
-            for s in report.samples
-        ],
-        "tolerance": cfg.tolerances.convergence,
-        "warnings": warnings,
-        "config": cfg.echo(),
-    }
+    doc.update(
+        {"lambda": doc.pop("lam")},
+        limit_estimate=None if est is None else [est.real, est.imag],
+        schedule=asdict(report.schedule),
+        samples=samples,
+        tolerance=cfg.tolerances.convergence,
+        warnings=warnings,
+        config=cfg.echo(),
+    )
     columns = list(zip(*((s.y, s.shadow.real, s.shadow.imag, s.norm, s.diff) for s in report.samples)))
     return (
         f"probe-limit: verdict={report.verdict} fitted_rate={report.fitted_rate:.4f}",

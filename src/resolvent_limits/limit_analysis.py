@@ -60,14 +60,14 @@ CONVERGES = "CONVERGES"
 DIVERGES = "DIVERGES"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# the longest y-ladder a schedule may hold; the ladders in use hold at most 17
-# values, and ``values`` rebuilds the whole ladder on every access
+# the longest y-ladder a schedule may hold; the ladders in use hold at most 17 values
 MAX_RUNGS = 10_000
 
 
 @dataclass(frozen=True)
 class YSchedule:
-    """Geometric ladder of floats y_k = y_max * ratio^k down to y_min (at least 8, at most MAX_RUNGS)."""
+    """Geometric ladder of floats y_k = y_max * ratio^k down to y_min (at least 8, at most MAX_RUNGS),
+    built once into the read-only tuple ``values``, which is not a field."""
 
     y_max: float = 0.1
     y_min: float = 1e-6
@@ -80,22 +80,17 @@ class YSchedule:
             raise ValueError("need 0 < y_min <= y_max")
         if not math.isfinite(self.y_max):  # the ladder from an infinite y_max never ends
             raise ValueError(f"y_max must be finite, got {self.y_max!r}")
-        # counted from logs before any rung is built: a ratio near 1 makes a ladder of any length
-        rungs = 1 + (math.log(self.y_max) - math.log(self.y_min)) / -math.log(self.ratio)
-        if rungs > MAX_RUNGS:
-            raise ValueError(f"schedule would hold about {rungs:.4g} values; at most {MAX_RUNGS} are allowed")
-        if len(self.values) < 8:
-            raise ValueError("schedule must contain at least 8 values")
-
-    @property
-    def values(self) -> tuple:
-        out = []
+        values = []
         y = float(self.y_max)
         floor = self.y_min * (1.0 - 1e-12)
         while y >= floor:
-            out.append(y)
+            if len(values) == MAX_RUNGS:  # a ratio near 1 makes a ladder of any length
+                raise ValueError(f"schedule would hold more than {MAX_RUNGS} values; at most {MAX_RUNGS} are allowed")
+            values.append(y)
             y *= self.ratio
-        return tuple(out)
+        if len(values) < 8:
+            raise ValueError("schedule must contain at least 8 values")
+        object.__setattr__(self, "values", tuple(values))
 
 
 @dataclass(frozen=True)

@@ -194,11 +194,12 @@ def discretize(
     budget = n - len(atoms)
     coords = [np.empty(0)]
     masses = [np.empty(0)]
-    if measure.ac_parts and budget > 0:
+    if measure.ac_parts:  # n >= required leaves a budget of at least 2 for them
         lengths = [p.support[1] - p.support[0] for p in measure.ac_parts]
         total_len = sum(lengths)
         counts = [max(1, int(budget * L / total_len)) for L in lengths]
-        # largest-remainder style top-up to spend the exact budget
+        # spend the exact budget: trim the first largest count while the one-node
+        # floors put the total over it, then top up round-robin from the first part
         while sum(counts) > budget and max(counts) > 1:
             counts[counts.index(max(counts))] -= 1
         idx = 0

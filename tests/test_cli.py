@@ -18,6 +18,7 @@ import resolvent_limits
 from resolvent_limits import DensityFamily, SpectralMeasure, WeightFunction, YSchedule, compactness_probe, discretize
 from resolvent_limits.cli import (
     CSV_VERSION,
+    MAX_PREFIX_BYTES,
     ExperimentConfig,
     _render,
     cmd_compactness,
@@ -505,6 +506,9 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         ("output_prefix", {"output_prefix": 5}),
         ("output_prefix must be a file name prefix", {"output_prefix": "../escaped"}),
         ("output_prefix must be a file name prefix", {"output_prefix": "sub/x"}),
+        ("output_prefix must be a file name prefix with no path separator or NUL", {"output_prefix": "a\0b"}),
+        ("output_prefix must take at most 229 UTF-8 bytes, got 234", {"output_prefix": "a" * 234}),
+        ("output_prefix must take at most 229 UTF-8 bytes, got 230", {"output_prefix": "é" * 115}),
         ("level", {"measure": {"ac_parts": [constant_part(level="1.0")]}}),
         ("level", {"measure": {"ac_parts": [constant_part(level=True)]}}),
         ("support", {"measure": {"ac_parts": [constant_part(support=("-1", True))]}}),
@@ -524,7 +528,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         "regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float",
         "lambda-string", "lambda-bool", "lambda-nan", "lambda-huge-int", "y_min-inf", "ratio-string",
         "convergence-string", "s-bool", "radii-string", "radii-not-array", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
-        "prefix-parent-dir", "prefix-subdir",
+        "prefix-parent-dir", "prefix-subdir", "prefix-nul", "prefix-too-long", "prefix-too-long-utf8",
         "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
         "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
         "weight-suport-typo", "support-three-edges", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
@@ -535,8 +539,9 @@ def test_config_types_are_exact(tmp_path, key, overrides):
     # "0.3" became lambda = 0.3, and lambda = NaN ran a probe on NaN; a
     # measure level "1.0" or true loaded as 1.0, "measure": 5 escaped as an
     # AttributeError, a misspelt "atom" key was ignored, a smooth_bump
-    # support of three edges loaded as its first two, and an output_prefix
-    # "../escaped" wrote its files beside the output directory
+    # support of three edges loaded as its first two, an output_prefix
+    # "../escaped" wrote its files beside the output directory, and one of 234
+    # bytes wrote one output before the next name overran 255 bytes
     cfg = write_config(tmp_path / "c.json", **{"measure": ATOM_MEASURE, "evaluator": "matrix", **overrides})
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
@@ -607,7 +612,7 @@ MALFORMED_MEASURE_OR_WEIGHT = {
     ),
     "weight-support-mismatch": (
         {"weight": {**PLATEAU_WEIGHT, "support": [-2.0, 2.0]}},
-        "bad config value: serialized weight support does not match its parameters",
+        "weight support [-2.0, 2.0] does not match center ± half_width [-1.0, 1.0]",
     ),
     "ac-parts-int": (
         {"measure": {"ac_parts": 5}},
@@ -744,6 +749,19 @@ def test_shipped_config_runs(tmp_path, capsys, config):
             assert text.split("\n")[:2] == [f"# resolvent-limits csv v1: {title}", header]
     summaries = capsys.readouterr().out.splitlines()  # one summary line per run
     assert len(summaries) == 2 and summaries[0] == summaries[1] and summaries[0].startswith(f"{command}: ")
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+def test_the_longest_output_prefix_names_every_output(tmp_path, config):
+    # 229 UTF-8 bytes: with the longest suffix, "_holder_increments.csv.tmp",
+    # an output's temporary name takes the 255 bytes a file name may hold
+    prefix = "é" * 114 + "p"
+    assert len(prefix.encode()) == MAX_PREFIX_BYTES == 229
+    path = tmp_path / config
+    path.write_text(json.dumps({**json.loads((ROOT / "configs" / config).read_text()), "output_prefix": prefix}))
+    out = tmp_path / "out"
+    assert main([_command(config), "--config", str(path), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {f"{prefix}_{suffix}" for suffix in OUTPUTS[_command(config)]}
 
 
 def test_holder_rates_script_runs(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -64,10 +65,57 @@ def test_schedule_rejects_an_infinite_y_max():
 
 
 def test_schedule_rejects_an_overlong_ladder():
-    # a ratio of 0.9999 from 0.1 down to 1e-6 is a ladder of 115,000 values,
-    # rebuilt on every access to values; a ratio just below 1 makes one of 1e17
+    # a ratio of 0.9999 from 0.1 down to 1e-6 is a ladder of 115,000 values; a
+    # ratio just below 1 makes one of 1e17, or one that never ends once
+    # y * ratio rounds back to y
+    for ratio in 0.9999, math.nextafter(1.0, 0.0):
+        with pytest.raises(ValueError, match="at most 10000 are allowed"):
+            YSchedule(ratio=ratio)
+
+
+def test_schedule_holds_a_ladder_of_exactly_the_longest_length():
+    # a log-based count read this ladder as "about 1e+04" values and refused it
+    assert len(YSchedule(0.1, 0.1 * 0.999**9999, 0.999).values) == 10_000
     with pytest.raises(ValueError, match="at most 10000 are allowed"):
-        YSchedule(ratio=0.9999)
+        YSchedule(0.1, 0.1 * 0.999**10_000, 0.999)
+
+
+def _ladder(y_max, y_min, ratio):
+    """The ladder as the schedule's ``values`` property once rebuilt it on every access."""
+    out = []
+    y = float(y_max)
+    floor = y_min * (1.0 - 1e-12)
+    while y >= floor:
+        out.append(y)
+        y *= ratio
+    return tuple(out)
+
+
+@given(
+    st.floats(1e-50, 1e50),
+    st.floats(0.01, 0.999),
+    st.sampled_from([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-13]),
+    st.data(),
+)
+def test_schedule_values_are_the_geometric_loop_built_once(y_max, ratio, slack, data):
+    # y_min near the k-th rung, so that ladders of 1 to 10101 values are drawn
+    k = data.draw(st.integers(0, min(10_100, int(250 / -math.log10(ratio)))))
+    y_min = y_max * ratio**k * slack
+    reference = _ladder(y_max, y_min, ratio)
+    if not (8 <= len(reference) <= 10_000 and y_min <= y_max):
+        with pytest.raises(ValueError):
+            YSchedule(y_max, y_min, ratio)
+        return
+    s = YSchedule(y_max, y_min, ratio)
+    assert [v.hex() for v in s.values] == [v.hex() for v in reference]
+    assert s.values is s.values
+    # values is no field: the config echo and the reports see the three fields alone
+    assert asdict(s) == {"y_max": s.y_max, "y_min": s.y_min, "ratio": s.ratio}
+    other = YSchedule(s.y_max, s.y_min, s.ratio)
+    object.__setattr__(other, "values", ())
+    assert other == s and hash(other) == hash(s)
+    with pytest.raises(FrozenInstanceError):
+        s.values = ()
 
 
 def test_limit_probe_constant_evaluator():
