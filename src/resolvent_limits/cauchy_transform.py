@@ -60,6 +60,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ __all__ = [
 GRADING = 0.25  # ratio of successive seed distances toward Re z or a cusp
 
 
-@dataclass(frozen=True)
-class TransformValue:
+class TransformValue(NamedTuple):
     """Transform value with the quadrature's internal error accounting."""
 
     value: complex

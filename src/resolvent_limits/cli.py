@@ -54,7 +54,6 @@ from .limit_analysis import (
     CONVERGES,
     DIVERGES,
     HolderEstimate,
-    ProbeSample,
     YSchedule,
     compactness_probe,
     estimate_holder,
@@ -221,7 +220,10 @@ def _read_output_prefix(name: str, value) -> str:
     # a separator would put the outputs outside --out; a NUL or a longer name names no file
     if {"/", "\\", "\0"} & set(read_value(name, value, str)):
         raise ConfigError(f"{name} must be a file name prefix with no path separator or NUL, got {value!r}")
-    size = len(value.encode())
+    try:
+        size = len(value.encode())
+    except UnicodeEncodeError:  # a lone surrogate, as a JSON \ud800 escape gives
+        raise ConfigError(f"{name} must be UTF-8 text, got {value!r}") from None
     if size > MAX_PREFIX_BYTES:
         raise ConfigError(f"{name} must take at most {MAX_PREFIX_BYTES} UTF-8 bytes, got {size}")
     return value
@@ -277,8 +279,8 @@ def _section(raw: dict, key: str) -> dict:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_bytes())  # UTF-8 (or a BOM's encoding), whatever the locale's
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     read_object("config", raw, (*_TOP, *_SECTIONS))
     for required in ("measure", "weight"):
@@ -347,8 +349,7 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
 
     report = limit_probe(ev, cfg.lam, cfg.schedule, tolerance=cfg.tolerances.convergence)
     # each record's own fields, read shallowly; only what JSON cannot hold as is is spelled out
-    names = [f.name for f in fields(ProbeSample)]
-    samples = [{name: getattr(s, name) for name in names} for s in report.samples]
+    samples = [s._asdict() for s in report.samples]
     for sample in samples:
         shadow, diff = sample.pop("shadow"), sample["diff"]
         sample.update(re=shadow.real, im=shadow.imag, diff=None if math.isnan(diff) else diff)

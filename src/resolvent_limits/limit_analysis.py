@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,8 +93,7 @@ class YSchedule:
         object.__setattr__(self, "values", tuple(values))
 
 
-@dataclass(frozen=True)
-class ProbeSample:
+class ProbeSample(NamedTuple):
     y: float
     shadow: complex  # scalar value, or trace for matrix samples
     norm: float

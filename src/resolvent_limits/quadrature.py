@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,8 +49,7 @@ def _rule():
     return np.concatenate((x1, x2)), w1, w2
 
 
-@dataclass(frozen=True)
-class PanelIntegral:
+class PanelIntegral(NamedTuple):
     value: complex
     error: float
     panels: int
@@ -68,10 +66,12 @@ class SeedGrid(NamedTuple):
 
 def _summed(vals, errs, abs_tol: float) -> PanelIntegral:
     """Panel values and error estimates summed left to right, one after
-    another as Python's ``sum`` adds them; the leading zeros are its start
-    values, so signed zeros come out as they do there."""
-    value = np.add.accumulate(np.concatenate(([0j], vals)))[-1]
-    error = float(np.add.accumulate(np.concatenate(([0.0], errs)))[-1])
+    another, with a zero start value added last.  Added first, the zero could
+    only turn a -0 partial sum into +0, and a zero's sign is lost at the first
+    nonzero term; added last, it turns a -0 total into +0 alike, since 0 + x
+    is x for every x but -0.  So both orders give the same bits."""
+    value = np.add.accumulate(vals)[-1] + 0j
+    error = float(np.add.accumulate(errs)[-1] + 0.0)
     return PanelIntegral(value, error, len(errs), error <= abs_tol)
 
 

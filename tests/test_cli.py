@@ -143,6 +143,29 @@ def test_bad_config_exit_one_and_no_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_a_config_that_is_not_utf8_is_not_valid_json(tmp_path, capsys):
+    # a leading 0xff byte used to exit with a bare codec error
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b"\xff" + write_config(tmp_path / "ok.json").read_bytes())
+    out = tmp_path / "out"
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
+def test_a_utf8_config_loads_under_an_ascii_locale(tmp_path):
+    # the config is read as UTF-8 bytes, not in the locale's encoding
+    cfg = write_config(tmp_path / "c.json", output_prefix="é")
+    cfg.write_text(cfg.read_text().replace("\\u00e9", "é"), encoding="utf-8")
+    env = dict(CHILD_ENV, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    code = (
+        "import codecs, locale, sys; from resolvent_limits.cli import load_config; "
+        "print(codecs.lookup(locale.getpreferredencoding(False)).name, ascii(load_config(sys.argv[1]).output_prefix))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg)], env=env, capture_output=True, text=True)
+    assert proc.stdout.split() == ["ascii", "'\\xe9'"], proc.stderr
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     doc = json.loads(cfg.read_text())
@@ -509,6 +532,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         ("output_prefix must be a file name prefix with no path separator or NUL", {"output_prefix": "a\0b"}),
         ("output_prefix must take at most 229 UTF-8 bytes, got 234", {"output_prefix": "a" * 234}),
         ("output_prefix must take at most 229 UTF-8 bytes, got 230", {"output_prefix": "é" * 115}),
+        ("output_prefix must be UTF-8 text", {"output_prefix": "\ud800"}),
         ("level", {"measure": {"ac_parts": [constant_part(level="1.0")]}}),
         ("level", {"measure": {"ac_parts": [constant_part(level=True)]}}),
         ("support", {"measure": {"ac_parts": [constant_part(support=("-1", True))]}}),
@@ -529,6 +553,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         "lambda-string", "lambda-bool", "lambda-nan", "lambda-huge-int", "y_min-inf", "ratio-string",
         "convergence-string", "s-bool", "radii-string", "radii-not-array", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
         "prefix-parent-dir", "prefix-subdir", "prefix-nul", "prefix-too-long", "prefix-too-long-utf8",
+        "prefix-lone-surrogate",
         "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
         "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
         "weight-suport-typo", "support-three-edges", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
@@ -540,8 +565,9 @@ def test_config_types_are_exact(tmp_path, key, overrides):
     # measure level "1.0" or true loaded as 1.0, "measure": 5 escaped as an
     # AttributeError, a misspelt "atom" key was ignored, a smooth_bump
     # support of three edges loaded as its first two, an output_prefix
-    # "../escaped" wrote its files beside the output directory, and one of 234
-    # bytes wrote one output before the next name overran 255 bytes
+    # "../escaped" wrote its files beside the output directory, one of 234
+    # bytes wrote one output before the next name overran 255 bytes, and a
+    # lone surrogate failed to encode with a message that named no key
     cfg = write_config(tmp_path / "c.json", **{"measure": ATOM_MEASURE, "evaluator": "matrix", **overrides})
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)

@@ -16,7 +16,9 @@ from resolvent_limits import (
     EvaluatorFailure,
     InvalidExponent,
     MatrixModel,
+    ProbeSample,
     SpectralMeasure,
+    TransformValue,
     WeightFunction,
     YSchedule,
     compactness_probe,
@@ -32,6 +34,7 @@ from resolvent_limits import (
     sandwiched_resolvent,
     stone_density,
 )
+from resolvent_limits.quadrature import PanelIntegral
 
 PLATEAU = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
 FLAT = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 1.0}, (-1.0, 1.0)),))
@@ -116,6 +119,28 @@ def test_schedule_values_are_the_geometric_loop_built_once(y_max, ratio, slack, 
     assert other == s and hash(other) == hash(s)
     with pytest.raises(FrozenInstanceError):
         s.values = ()
+
+
+# each record a transform rung builds: its fields in order, and the defaults of
+# the trailing ones; _rungs builds a ProbeSample by position
+RUNG_RECORDS = {
+    PanelIntegral: (("value", "error", "panels", "tolerance_met"), {"tolerance_met": True}),
+    TransformValue: (("value", "abs_error_estimate", "panels_used", "tolerance_met"), {"tolerance_met": True}),
+    ProbeSample: (
+        ("y", "shadow", "norm", "diff", "tag", "abs_error_estimate", "panels", "tolerance_met"),
+        dict.fromkeys(("abs_error_estimate", "panels", "tolerance_met")),
+    ),
+}
+
+
+@pytest.mark.parametrize("record", RUNG_RECORDS, ids=lambda r: r.__name__)
+def test_a_rung_record_keeps_its_fields_and_is_read_only(record):
+    names, defaults = RUNG_RECORDS[record]
+    assert record._fields == names and record._field_defaults == defaults
+    built = record(*range(len(names)))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(built, name, None)
 
 
 def test_limit_probe_constant_evaluator():

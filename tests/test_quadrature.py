@@ -127,6 +127,8 @@ def test_summed_adds_left_to_right_as_sum_does(pairs, errs):
     vals = np.array([complex(re, im) for re, im in pairs])
     errs = np.array((errs * len(pairs))[: len(pairs)])
     error = float(sum(errs))
+    # the elements are numpy scalars, which sum adds one by one; from Python
+    # 3.12 on it compensates a sum of exact floats
     for v in (vals, vals.real, tuple(vals)):  # seed arrays, real integrands, bisected panels
         value = sum(v, 0.0 + 0.0j)
         want = quadrature.PanelIntegral(value, error, len(errs), error <= 1e-10)
