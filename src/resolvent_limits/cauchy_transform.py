@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -91,8 +90,7 @@ class TransformValue(NamedTuple):
     tolerance_met: bool = True
 
 
-@dataclass(frozen=True)
-class SplitMeasure:
+class SplitMeasure(NamedTuple):
     """Measure split into near and far parts around a probe point."""
 
     near: SpectralMeasure

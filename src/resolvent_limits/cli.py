@@ -27,8 +27,9 @@ sequence of floats, ints or strings.  ``main`` alone names, renders, writes
 and prints them.  A file is named ``<output_prefix>_<suffix>``; all of them
 are written in one call once the command has returned, each to a temporary
 name renamed into place, and the summary line is printed after that.  A
-failing command writes nothing, so exit 1 never leaves partial outputs
-behind.
+failing command writes nothing, and neither does a command whose JSON
+document holds a NaN or an infinity, which strict JSON cannot hold: exit 1
+never leaves partial outputs behind.
 
 CSV conventions: one comment line naming the column layout version, then a
 header row; floats use scientific notation with 17 significant digits.  A
@@ -44,9 +45,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .cauchy_transform import evaluate_offaxis
 from .errors import ConfigError, DegenerateFit, ResolventLimitsError
@@ -91,18 +93,17 @@ class Tolerances:
                 raise ConfigError(f"tolerances {name} must be positive, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     measure: SpectralMeasure
     weight: WeightFunction
     lam: float = 0.0
-    schedule: YSchedule = field(default_factory=YSchedule)
+    schedule: YSchedule = YSchedule()
     evaluator: str = "transform"  # "transform" | "matrix"
     regularize: bool = False
     n: int = 2000
     embedding_dim: object = SAME
     seed: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tolerances: Tolerances = Tolerances()
     compactness_s: float = 1.0
     compactness_radii: tuple = (0.25, 0.5, 1.0, 2.0)
     holder_target: str = "density"  # "density" | "weight"
@@ -244,7 +245,7 @@ def _read_key(name: str, value, spec):
 # The spec of each key a config section may set, read by ``_read_key``.  A read
 # key becomes a keyword argument of YSchedule, Tolerances or ExperimentConfig
 # (named by the section's prefix plus the key); a key the config leaves out is
-# not passed, so every default is stated once, on its dataclass.
+# not passed, so every default is stated once, on its record.
 _TOP = {
     "measure": _read_measure,
     "weight": _read_weight,
@@ -314,9 +315,10 @@ def _write_all(outdir: Path, files: dict) -> None:
 
 def _render(output) -> str:
     """Text of one output: a JSON document, or a CSV table (title, header,
-    columns) formatted in one pass."""
+    columns) formatted in one pass.  A document holding a NaN or an infinity,
+    which JSON cannot hold, raises ValueError."""
     if isinstance(output, dict):
-        return json.dumps(output, indent=2, sort_keys=True) + "\n"
+        return json.dumps(output, indent=2, sort_keys=True, allow_nan=False) + "\n"
     title, header, columns = output
     row = ",".join("%.16e" if isinstance(col[0], float) else "%s" for col in columns) + "\n"
     cells = chain.from_iterable(zip(*columns))
@@ -353,7 +355,7 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
     for sample in samples:
         shadow, diff = sample.pop("shadow"), sample["diff"]
         sample.update(re=shadow.real, im=shadow.imag, diff=None if math.isnan(diff) else diff)
-    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    doc = report._asdict()
     est = report.limit_estimate
     doc.update(
         {"lambda": doc.pop("lam")},
@@ -461,9 +463,9 @@ def cmd_holder_fit(cfg: ExperimentConfig) -> tuple:
     incs = holder_increments(f, point, radii)
     doc = {"degenerate": False, "point": point, "target": cfg.holder_target}
     try:
-        doc.update(asdict(estimate_holder(point, radii, incs)))
+        doc.update(estimate_holder(point, radii, incs)._asdict())
     except DegenerateFit as exc:
-        doc.update(dict.fromkeys(k.name for k in fields(HolderEstimate)), degenerate=True)
+        doc.update(dict.fromkeys(HolderEstimate._fields), degenerate=True)
         doc["note"] = f"{exc}; locally constant data, treat exponent as 1"
     alpha = "degenerate" if doc["degenerate"] else doc["alpha_hat"]
     return (
@@ -501,10 +503,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         summary, code, outputs = _COMMANDS[args.command](cfg)
-        _write_all(
-            Path(args.out),
-            {f"{cfg.output_prefix}_{suffix}": _render(out) for suffix, out in outputs.items()},
-        )
+        files = {}
+        for suffix, out in outputs.items():
+            name = f"{cfg.output_prefix}_{suffix}"
+            try:
+                files[name] = _render(out)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}; no output was written") from exc
+        _write_all(Path(args.out), files)
         print(summary)
         return code
     except (ResolventLimitsError, ValueError, OSError) as exc:

@@ -105,8 +105,7 @@ class ProbeSample(NamedTuple):
     tolerance_met: bool | None = None
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     lam: float
     schedule: YSchedule
     samples: tuple
@@ -210,8 +209,7 @@ def fit_divergence_rate(norms: Sequence[float], ys: Sequence[float]) -> tuple:
     return _loglog_fit(ys, norms)[:2]
 
 
-@dataclass(frozen=True)
-class CompactnessReport:
+class CompactnessReport(NamedTuple):
     s: float
     truncation_radii: tuple
     singular_values: tuple
@@ -258,8 +256,7 @@ def compactness_probe(
     )
 
 
-@dataclass(frozen=True)
-class StoneDensityResult:
+class StoneDensityResult(NamedTuple):
     density_estimates: tuple
     extrapolated: float
 
@@ -288,8 +285,7 @@ def stone_density(
     )
 
 
-@dataclass(frozen=True)
-class HolderEstimate:
+class HolderEstimate(NamedTuple):
     """Fitted local Holder data: |f(x) - f(lam)| ~ constant * |x - lam|^alpha.
 
     ``alpha_hat`` is the least-squares slope of log-increments against

@@ -26,6 +26,7 @@ eigenvalue); continuum nodes are strictly increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +125,7 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-@dataclass(frozen=True)
-class OperatorSample:
+class OperatorSample(NamedTuple):
     """One evaluation of the sandwiched resolvent at a complex point.
 
     The sample is ``J diag(diag) J*`` with ``diag_i = w_i^2 mu_i / (x_i - z)``

@@ -207,7 +207,18 @@ class SpectralMeasure:
         return total
 
     def density_at(self, x: float) -> float:
-        return float(self.density_values(np.asarray([x]))[0])
+        """rho at x as the mean of its one-sided limits: a part counts on the
+        side of x its support covers, so where one part ends and the next
+        begins a continuous density reads its value, a jump its midpoint and
+        an outer support edge half the value.  Off every part's edges it is
+        the sum that ``density_values`` gives, bit for bit."""
+        left = right = 0.0
+        for part in self.ac_parts:
+            lo, hi = part.support
+            v = part(x)
+            left += v if lo < x <= hi else 0.0
+            right += v if lo <= x < hi else 0.0
+        return (left + right) / 2
 
     def breakpoints(self) -> tuple:
         pts = set()

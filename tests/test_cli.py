@@ -451,6 +451,25 @@ def test_console_entry_point(tmp_path):
     assert "verdict=CONVERGES" in proc.stdout
 
 
+def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path):
+    # at the subnormal rungs c/(x - z) overflows on the atom node, and the report
+    # would hold NaN and Infinity; a child process, since in this one pytest turns
+    # numpy's overflow warning into an error that exits 1 for another reason
+    raw = json.loads((ROOT / "configs" / "probe_limit_atom.json").read_text())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(raw, schedule={"y_max": 0.01, "y_min": 1e-320, "ratio": 0.5})))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "resolvent_limits.cli", "probe-limit", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 1
+    assert "error: atom_limit_report.json: " in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_bad_holder_radius_count_exits_one(tmp_path):
     cfg = write_config(tmp_path / "c.json", holder={"target": "density", "count": 3})
     out = tmp_path / "out"

@@ -10,14 +10,21 @@ from resolvent_limits import (
     CONVERGES,
     DIVERGES,
     INCONCLUSIVE,
+    SAME,
     Atom,
+    CompactnessReport,
     DegenerateFit,
     DensityFamily,
     EvaluatorFailure,
+    HolderEstimate,
     InvalidExponent,
+    LimitReport,
     MatrixModel,
+    OperatorSample,
     ProbeSample,
     SpectralMeasure,
+    SplitMeasure,
+    StoneDensityResult,
     TransformValue,
     WeightFunction,
     YSchedule,
@@ -34,6 +41,7 @@ from resolvent_limits import (
     sandwiched_resolvent,
     stone_density,
 )
+from resolvent_limits.cli import ExperimentConfig, Tolerances
 from resolvent_limits.quadrature import PanelIntegral
 
 PLATEAU = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
@@ -121,21 +129,40 @@ def test_schedule_values_are_the_geometric_loop_built_once(y_max, ratio, slack, 
         s.values = ()
 
 
-# each record a transform rung builds: its fields in order, and the defaults of
-# the trailing ones; _rungs builds a ProbeSample by position
-RUNG_RECORDS = {
+# each record that validates nothing, a NamedTuple: its fields in order, and the
+# defaults of the trailing ones; _rungs builds a ProbeSample by position
+PLAIN_RECORDS = {
     PanelIntegral: (("value", "error", "panels", "tolerance_met"), {"tolerance_met": True}),
     TransformValue: (("value", "abs_error_estimate", "panels_used", "tolerance_met"), {"tolerance_met": True}),
     ProbeSample: (
         ("y", "shadow", "norm", "diff", "tag", "abs_error_estimate", "panels", "tolerance_met"),
         dict.fromkeys(("abs_error_estimate", "panels", "tolerance_met")),
     ),
+    LimitReport: (("lam", "schedule", "samples", "verdict", "fitted_rate", "limit_estimate", "rate_residual"), {}),
+    CompactnessReport: (("s", "truncation_radii", "singular_values", "sup_bounds"), {}),
+    StoneDensityResult: (("density_estimates", "extrapolated"), {}),
+    HolderEstimate: (("alpha_hat", "constant_hat", "fit_window", "residual"), {}),
+    OperatorSample: (("z", "diag", "product", "norm"), {}),
+    SplitMeasure: (("near", "far", "lam", "eps"), {}),
+    ExperimentConfig: (
+        (
+            "measure", "weight", "lam", "schedule", "evaluator", "regularize", "n", "embedding_dim", "seed",
+            "tolerances", "compactness_s", "compactness_radii", "holder_target", "holder_point", "holder_r_max",
+            "holder_ratio", "holder_count", "output_prefix",
+        ),
+        {
+            "lam": 0.0, "schedule": YSchedule(), "evaluator": "transform", "regularize": False, "n": 2000,
+            "embedding_dim": SAME, "seed": 0, "tolerances": Tolerances(), "compactness_s": 1.0,
+            "compactness_radii": (0.25, 0.5, 1.0, 2.0), "holder_target": "density", "holder_point": None,
+            "holder_r_max": 0.125, "holder_ratio": 0.5, "holder_count": 10, "output_prefix": "run",
+        },
+    ),
 }
 
 
-@pytest.mark.parametrize("record", RUNG_RECORDS, ids=lambda r: r.__name__)
+@pytest.mark.parametrize("record", PLAIN_RECORDS, ids=lambda r: r.__name__)
 def test_a_rung_record_keeps_its_fields_and_is_read_only(record):
-    names, defaults = RUNG_RECORDS[record]
+    names, defaults = PLAIN_RECORDS[record]
     assert record._fields == names and record._field_defaults == defaults
     built = record(*range(len(names)))
     for name in names:

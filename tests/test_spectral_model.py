@@ -32,6 +32,32 @@ def test_constant_density_inside_and_outside():
     assert m.density_at(2.0) == 0.0
 
 
+def _constant_parts(*pieces):
+    return SpectralMeasure(ac_parts=tuple(DensityFamily("constant", {"level": v}, (lo, hi)) for v, lo, hi in pieces))
+
+
+def test_density_at_a_shared_edge_reads_the_value_once():
+    # constant 1 on [-1, 1] written as two parts: 0 lies on both supports
+    assert _constant_parts((1.0, -1.0, 0.0), (1.0, 0.0, 1.0)).density_at(0.0) == 1.0
+
+
+def test_density_at_a_jump_reads_its_midpoint():
+    # Stone's formula recovers the mean of the one-sided limits 1 and 3
+    assert _constant_parts((1.0, -1.0, 0.0), (3.0, 0.0, 1.0)).density_at(0.0) == 2.0
+
+
+def test_density_at_an_outer_edge_reads_half_the_value():
+    m = _constant_parts((0.5, -1.0, 1.0))
+    assert m.density_at(-1.0) == m.density_at(1.0) == 0.25
+
+
+@given(st.lists(density_families(), min_size=1, max_size=3), st.floats(-3.0, 3.0))
+def test_density_at_off_every_edge_is_the_closed_support_sum(parts, x):
+    m = SpectralMeasure(ac_parts=tuple(parts))
+    if all(x not in p.support for p in parts):
+        assert m.density_at(x).hex() == float(m.density_values(np.asarray([x]))[0]).hex()
+
+
 def test_power_bump_value_matches_direct_arithmetic():
     m = SpectralMeasure(
         ac_parts=(
