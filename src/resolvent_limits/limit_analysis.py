@@ -20,14 +20,17 @@ The verdict order (divergence test first, tolerance-gated convergence second)
 guarantees that shrinking the tolerance can only demote CONVERGES to
 INCONCLUSIVE, never flip it to DIVERGES.
 
-Every rate here is a least-squares line through log-log data: the 1/y law of
-a probe's norms, the decay of its differences, and the local Holder exponent
-of a catalog function fitted from its two-sided increments
-(``estimate_holder``), the paper's condition on w^2 rho at lam.
+Every line here is fitted by one closed-form least-squares helper: the 1/y
+law of a probe's norms, the decay of its differences and the local Holder
+exponent of a catalog function from its two-sided increments
+(``estimate_holder``, the paper's condition on w^2 rho at lam), each through
+log-log data, and the Stone density's tail against y.  A rung whose sample is
+not finite is refused, so no fit or rule reads an inf or a NaN.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -115,13 +118,26 @@ class LimitReport(NamedTuple):
     rate_residual: float
 
 
-def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple:
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple:
+    """Least-squares line through the points (xs, ys): (slope, RMS residual,
+    intercept), in closed form from centred two-pass sums.  Each sum is a
+    ``math.fsum``, whose bits do not depend on the Python version (``sum``
+    compensates from 3.12 on).  Raises DegenerateFit when all xs are equal."""
+    if min(xs) == max(xs):
+        raise DegenerateFit("all abscissae equal; slope undefined")
+    n = len(xs)
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    dxs = [x - mx for x in xs]
+    dys = [y - my for y in ys]
+    slope = math.fsum([dx * dy for dx, dy in zip(dxs, dys)]) / math.fsum([dx * dx for dx in dxs])
+    rms = math.sqrt(math.fsum([(dy - slope * dx) ** 2 for dx, dy in zip(dxs, dys)]) / n)
+    return slope, rms, my - slope * mx
+
+
+def _loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     """Least-squares line through (log xs, log ys): (slope, RMS residual,
     intercept)."""
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), rms, float(intercept)
+    return _line_fit(np.log(xs).tolist(), np.log(ys).tolist())
 
 
 def _rungs(evaluator: Callable[[complex], object], lam: float, schedule: YSchedule) -> list:
@@ -130,7 +146,8 @@ def _rungs(evaluator: Callable[[complex], object], lam: float, schedule: YSchedu
     |shadow difference| otherwise.
 
     Evaluator exceptions are re-raised as EvaluatorFailure carrying the
-    offending y.
+    offending y, and so is a FloatingPointError for the first rung whose
+    shadow, norm or distance is not finite.
     """
     samples, last = [], None  # last: the previous rung's evaluator result
     for y in schedule.values:
@@ -147,6 +164,9 @@ def _rungs(evaluator: Callable[[complex], object], lam: float, schedule: YSchedu
             diff = abs(v - samples[-1].shadow) if samples else math.nan
             accounting = (raw.abs_error_estimate, raw.panels_used, raw.tolerance_met) if transform else ()
             sample = ProbeSample(y, v, abs(v), diff, "transform" if transform else "scalar", *accounting)
+        if not (cmath.isfinite(sample.shadow) and math.isfinite(sample.norm) and (math.isfinite(diff) or not samples)):
+            bad = f"shadow={sample.shadow!r}, norm={sample.norm!r}, diff={diff!r}"
+            raise EvaluatorFailure(y, FloatingPointError(f"sample is not finite: {bad}"))
         samples.append(sample)
         last = raw
     return samples
@@ -162,27 +182,28 @@ def limit_probe(
 
     The evaluator may return a complex number, a TransformValue or an
     OperatorSample.  Evaluator exceptions are re-raised as EvaluatorFailure
-    carrying the offending y.
+    carrying the offending y; a sample that is not finite raises one too.
     """
     samples = tuple(_rungs(evaluator, lam, schedule))
-    ys = np.array([s.y for s in samples])
-    norms = np.array([s.norm for s in samples])
-    diffs = np.array([s.diff for s in samples[1:]])
+    ys = schedule.values
+    norms = [s.norm for s in samples]
+    diffs = [s.diff for s in samples[1:]]
 
     def report(verdict, rate, residual, limit=None):
         return LimitReport(float(lam), schedule, samples, verdict, rate, limit, residual)
 
     # only increasing norms are fitted: nothing else reads the slope
-    if np.all(norms[1:] >= norms[:-1] * (1.0 - 1e-9)) and norms[-1] > norms[0] and np.all(norms > 0):
+    rising = norms[-1] > norms[0] and all(b >= a * (1.0 - 1e-9) for a, b in zip(norms, norms[1:]))
+    if rising and all(v > 0 for v in norms):
         slope, residual, _ = _loglog_fit(ys, norms)
         if slope <= -0.5 and residual < 0.1:
             return report(DIVERGES, slope, residual)
 
     rate = residual = 0.0
-    pos = diffs > 0
-    if np.count_nonzero(pos) >= 2:
-        rate, residual, _ = _loglog_fit(ys[:-1][pos], diffs[pos])
-    if not (np.all(diffs[1:] <= diffs[:-1] * 1.1 + 1e-300) and diffs[-1] <= tolerance):
+    positive = [(y, d) for y, d in zip(ys, diffs) if d > 0]  # diff k sits at ys[k]
+    if len(positive) >= 2:
+        rate, residual, _ = _loglog_fit(*zip(*positive))
+    if not (all(b <= a * 1.1 + 1e-300 for a, b in zip(diffs, diffs[1:])) and diffs[-1] <= tolerance):
         return report(INCONCLUSIVE, rate, residual)
     limit = samples[-1].shadow
     if rate > 0 and residual < 0.05 and diffs[-1] > 0:
@@ -196,7 +217,7 @@ def fit_divergence_rate(norms: Sequence[float], ys: Sequence[float]) -> tuple:
     """Least-squares slope of log(norm) against log(y) plus RMS residual.
 
     A 1/y eigenvalue divergence fits slope -1.  Raises DegenerateFit when all
-    norms coincide (no rate to fit).
+    norms coincide, or all ys (no rate to fit).
     """
     norms = np.asarray(norms, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -269,19 +290,17 @@ def stone_density(
     """Spectral density from the transform: (1/pi) Im C(lam + iy), y down.
 
     The evaluator may return anything ``limit_probe`` accepts; a matrix
-    sample contributes its trace.  The y -> 0 value is the intercept of a
-    linear fit of the estimates against y over the tail half of the schedule
-    (smallest y), where the Holder error term is negligible.  For catalog
-    data this recovers w(lam)^2 rho(lam).
+    sample contributes its trace.  The y -> 0 value is the intercept of the
+    least-squares line of the estimates against y, by the same closed form as
+    every rate fit, over the tail half of the schedule (smallest y), where the
+    Holder error term is negligible.  For catalog data this recovers
+    w(lam)^2 rho(lam).
     """
     estimates = [s.shadow.imag / math.pi for s in _rungs(evaluator, lam, schedule)]
-    ys = np.array(schedule.values)
-    vals = np.array(estimates)
-    tail = max(4, ys.size // 2)
-    coeffs = np.polyfit(ys[-tail:], vals[-tail:], 1)
+    tail = max(4, len(estimates) // 2)
     return StoneDensityResult(
-        density_estimates=tuple(float(v) for v in estimates),
-        extrapolated=float(coeffs[1]),
+        density_estimates=tuple(estimates),
+        extrapolated=_line_fit(schedule.values[-tail:], estimates[-tail:])[2],
     )
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import resolvent_limits
 from resolvent_limits import DensityFamily, SpectralMeasure, WeightFunction, YSchedule, compactness_probe, discretize
 from resolvent_limits.cli import (
+    _COMMANDS,
     CSV_VERSION,
     MAX_PREFIX_BYTES,
     ExperimentConfig,
@@ -453,8 +454,9 @@ def test_console_entry_point(tmp_path):
 
 def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path):
     # at the subnormal rungs c/(x - z) overflows on the atom node, and the report
-    # would hold NaN and Infinity; a child process, since in this one pytest turns
-    # numpy's overflow warning into an error that exits 1 for another reason
+    # would hold NaN and Infinity: the probe refuses the first rung that is not
+    # finite; a child process, since in this one pytest turns numpy's overflow
+    # warning into an error that exits 1 for another reason
     raw = json.loads((ROOT / "configs" / "probe_limit_atom.json").read_text())
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(dict(raw, schedule={"y_max": 0.01, "y_min": 1e-320, "ratio": 0.5})))
@@ -466,8 +468,21 @@ def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path):
         env=CHILD_ENV,
     )
     assert proc.returncode == 1
-    assert "error: atom_limit_report.json: " in proc.stderr
+    assert "error: evaluator failed at y=" in proc.stderr
+    assert "FloatingPointError('sample is not finite: " in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_a_document_json_cannot_hold_is_written_nowhere(tmp_path, monkeypatch, capsys):
+    # the first output renders; the second holds NaN, so neither is written
+    command = lambda cfg: ("summary", 0, {"good.json": {"x": 1.0}, "bad.json": {"x": math.nan}})
+    monkeypatch.setitem(_COMMANDS, "probe-limit", command)
+    out = tmp_path / "out"
+    assert main(["probe-limit", "--config", str(write_config(tmp_path / "c.json")), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t_bad.json: Out of range float values are not JSON compliant: nan; no output was written\n"
+    assert not out.exists()
 
 
 def test_bad_holder_radius_count_exits_one(tmp_path):
@@ -757,9 +772,10 @@ OUTPUTS = {
 
 SHIPPED = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
 # sha256 of every output file of each shipped config, written by the package
-# as it stood before the Holder fit moved onto limit_analysis's log-log fit
-# and the near/far split cut each part in one loop.  To print the record the
-# current code gives:
+# as it stood before the near/far split cut each part in one loop; the
+# outputs that hold a fitted line (holder_fit, stone_density and the three
+# probe_limit configs) were rewritten when every line fit became one closed
+# form.  To print the record the current code gives:
 #
 #     PYTHONPATH=src python tests/test_cli.py
 CONFIG_GOLDEN = Path(__file__).with_name("config_golden.json")

@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError, asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from resolvent_limits import (
     stone_density,
 )
 from resolvent_limits.cli import ExperimentConfig, Tolerances
+from resolvent_limits.limit_analysis import _line_fit, _loglog_fit
 from resolvent_limits.quadrature import PanelIntegral
 
 PLATEAU = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
@@ -232,6 +234,27 @@ def test_limit_probe_wraps_failures():
     assert info.value.y == SCHED.values[0]
 
 
+@pytest.mark.parametrize("probe", [limit_probe, stone_density])
+@pytest.mark.parametrize("at", [0, 5])
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.nan), complex(math.inf, math.inf)])
+def test_a_non_finite_rung_is_an_evaluator_failure(probe, at, bad):
+    # a scalar evaluator that returns a non-finite value at one rung: no fit
+    # or rule reads it, and the failure names that rung's y
+    y_bad = SCHED.values[at]
+    with pytest.raises(EvaluatorFailure) as info:
+        probe(lambda z: bad if z.imag == y_bad else 1.0 + z.imag, 0.0, SCHED)
+    assert info.value.y == y_bad
+    assert isinstance(info.value.cause, FloatingPointError)
+
+
+def test_a_diff_that_overflows_is_an_evaluator_failure():
+    # every shadow and norm is finite, but the second rung's distance to the
+    # first, |-1e308 - 1e308|, overflows
+    with pytest.raises(EvaluatorFailure, match="diff=inf") as info:
+        limit_probe(lambda z: 1e308 if z.imag == SCHED.values[0] else -1e308, 0.0, SCHED)
+    assert info.value.y == SCHED.values[1]
+
+
 def test_limit_probe_inconclusive_on_slow_drift():
     # log-divergent drift: diffs stay constant, norms not monotone enough
     report = limit_probe(lambda z: math.log(1.0 / z.imag), 0.0, SCHED, tolerance=1e-6)
@@ -283,6 +306,51 @@ def test_fit_divergence_rate_degenerate():
         fit_divergence_rate([2.0, 2.0, 2.0, 2.0], ys)
     with pytest.raises(ValueError):
         fit_divergence_rate([1.0, 2.0], [0.1, 0.05])
+
+
+def test_a_fit_over_equal_abscissae_is_degenerate():
+    # a least-squares line through points with one abscissa has no slope
+    with pytest.raises(DegenerateFit):
+        fit_divergence_rate([1.0, 2.0, 3.0, 4.0], [0.1, 0.1, 0.1, 0.1])
+    with pytest.raises(DegenerateFit):
+        _line_fit([0.1] * 3, [1.0, 2.0, 3.0])  # sum 0.30000000000000004, mean 0.10000000000000002
+    assert _line_fit([0.1, 0.2], [1.0, 1.0]) == (0.0, 0.0, 1.0)
+
+
+EPS = 2.0**-52
+
+
+@given(
+    st.integers(2, 39),
+    st.floats(0.01, 0.99),
+    st.floats(-8.0, 2.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-40.0, 40.0),
+    st.lists(st.floats(-1.0, 1.0), min_size=39, max_size=39),
+    st.sampled_from([0.0, 1e-12, 1e-6, 0.1, 10.0]),
+)
+@settings(max_examples=200)
+def test_line_fit_matches_the_exact_line_of_its_floats(n, ratio, log_ymax, slope, intercept, noise, scale):
+    """A log-log ladder as the probes fit it, against the least-squares line of
+    the same floats in exact rational arithmetic.  With T = max|y| + |s| max|x|
+    (the size of the terms of b = mean y - s mean x), the bounds are
+    |slope error| <= 4 eps (|s| + sqrt(Syy/Sxx)), and |intercept error| and
+    |RMS error| <= 4 eps T; the largest seen over 20000 random ladders were
+    0.8, 1.7 and 0.6 eps of those scales."""
+    xs = np.log([10.0**log_ymax * ratio**k for k in range(n)]).tolist()
+    ys = [intercept + slope * x + scale * e for x, e in zip(xs, noise)]
+    got_slope, got_rms, got_intercept = _line_fit(xs, ys)
+
+    X, Y = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(X) / n, sum(Y) / n
+    sxx, syy = sum((x - mx) ** 2 for x in X), sum((y - my) ** 2 for y in Y)
+    s = sum((x - mx) * (y - my) for x, y in zip(X, Y)) / sxx
+    b = my - s * mx
+    rms = math.sqrt(sum((y - s * x - b) ** 2 for x, y in zip(X, Y)) / n)
+    t = max(map(abs, ys)) + abs(float(s)) * max(map(abs, xs))
+    assert abs(Fraction(got_slope) - s) <= 4 * EPS * (abs(float(s)) + math.sqrt(syy / sxx))
+    assert abs(Fraction(got_intercept) - b) <= 4 * EPS * t
+    assert abs(got_rms - rms) <= 4 * EPS * t
 
 
 @given(st.floats(0.01, 100.0))
@@ -392,15 +460,18 @@ def test_dichotomy_regularized_vs_raw():
 
 
 def _inline_holder_fit(radii, incs) -> tuple:
-    """The fit estimate_holder made with its own polyfit and residual before
-    it shared _loglog_fit; kept as the reference."""
+    """estimate_holder's fit written out: the closed-form least-squares line,
+    from centred sums, through log-increment against log-radius over the
+    nonzero increments."""
     zero = incs == 0.0
-    rs, ds = np.array(radii)[~zero], incs[~zero]
-    logr, logd = np.log(rs), np.log(ds)
-    slope, intercept = np.polyfit(logr, logd, 1)
-    fitted = slope * logr + intercept
-    residual = float(np.sqrt(np.mean((logd - fitted) ** 2)))
-    return float(min(slope, 1.5)), float(np.exp(intercept)), (float(rs.min()), float(rs.max())), residual
+    rs = np.array(radii)[~zero]
+    xs, ys = np.log(rs).tolist(), np.log(incs[~zero]).tolist()
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs, dys = [x - mx for x in xs], [y - my for y in ys]
+    slope = math.fsum([dx * dy for dx, dy in zip(dxs, dys)]) / math.fsum([dx * dx for dx in dxs])
+    residual = math.sqrt(math.fsum([(dy - slope * dx) ** 2 for dx, dy in zip(dxs, dys)]) / len(xs))
+    intercept = my - slope * mx
+    return min(slope, 1.5), float(np.exp(intercept)), (float(rs.min()), float(rs.max())), residual
 
 
 @given(
@@ -423,3 +494,77 @@ def test_estimate_holder_is_the_inline_fit_bit_for_bit(level, expo, center, offs
     got = (est.alpha_hat, est.constant_hat, est.fit_window, est.residual)
     assert repr(got) == repr(want)
     assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def _numpy_rules(report, tolerance) -> tuple:
+    """limit_probe's rules as the numpy array expressions they were before
+    they ran over plain floats, driving the same fit, over the report's own
+    samples: (verdict, rate, residual, limit)."""
+    samples, schedule = report.samples, report.schedule
+    ys = np.array([s.y for s in samples])
+    norms = np.array([s.norm for s in samples])
+    diffs = np.array([s.diff for s in samples[1:]])
+    if np.all(norms[1:] >= norms[:-1] * (1.0 - 1e-9)) and norms[-1] > norms[0] and np.all(norms > 0):
+        slope, residual, _ = _loglog_fit(ys, norms)
+        if slope <= -0.5 and residual < 0.1:
+            return DIVERGES, slope, residual, None
+    rate = residual = 0.0
+    pos = diffs > 0
+    if np.count_nonzero(pos) >= 2:
+        rate, residual, _ = _loglog_fit(ys[:-1][pos], diffs[pos])
+    if not (np.all(diffs[1:] <= diffs[:-1] * 1.1 + 1e-300) and diffs[-1] <= tolerance):
+        return INCONCLUSIVE, rate, residual, None
+    limit = samples[-1].shadow
+    if rate > 0 and residual < 0.05 and diffs[-1] > 0:
+        rho = schedule.ratio**rate
+        limit += (limit - samples[-2].shadow) * rho / (1.0 - rho)
+    return CONVERGES, rate, residual, limit
+
+
+@st.composite
+def replayed_ladders(draw):
+    """(schedule, values): one real value per rung, made to land on the rules'
+    edges: equal norms, zero diffs, a norm step of exactly the 1e-9 slack, and
+    a diff step of exactly the 10% slack."""
+    schedules = [SCHED, YSchedule(1e-2, 1e-6, 0.5), YSchedule(1.0, 1e-6, 0.25), YSchedule(0.1, 1e-3, 0.8)]
+    schedule = draw(st.sampled_from(schedules))
+    ys = schedule.values
+    kind = draw(st.sampled_from(["power", "norms", "diffs", "pool"]))
+    if kind == "power":  # limit + c y^p, perturbed: the 1/y law, convergence with and without a rate
+        limit, c = draw(st.floats(-2.0, 2.0)), draw(st.floats(1e-3, 2.0))
+        p = draw(st.sampled_from([-1.0, -0.5, 1.0, 2.0]) | st.floats(-1.5, 2.5))
+        noise = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+        values = [limit + c * y**p * (1.0 + noise * draw(st.floats(-1.0, 1.0))) for y in ys]
+    elif kind == "norms":  # the 1/y law but for a few steps: equal, at the slack's edge, past it, or down
+        step = st.sampled_from([1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5])
+        steps = draw(st.dictionaries(st.integers(1, len(ys) - 1), step, max_size=2))
+        values = [draw(st.floats(1e-3, 1e3))]
+        for k in range(1, len(ys)):
+            values.append(values[-1] * steps.get(k, ys[k - 1] / ys[k]))
+        if draw(st.booleans()):  # a zero first norm, which no log may read
+            values[0] = 0.0
+    elif kind == "diffs":
+        # 0, t1, 0, t2, ...: the diffs t1, t1, t2, t2, ... are exact, so t2 = t1 * 1.1 + 1e-300 sits on the edge
+        t, values = draw(st.floats(1e-12, 1.0)), []
+        for k, _ in enumerate(ys):
+            if k % 2:
+                step = draw(st.sampled_from(["edge", "past", "same", "half", "zero"]))
+                edge = t * 1.1 + 1e-300
+                t = {"edge": edge, "past": math.nextafter(edge, math.inf), "same": t, "half": t * 0.5, "zero": 0.0}[step]
+            values.append(t if k % 2 else 0.0)
+    else:  # a few values repeated in any order
+        pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+        values = [draw(st.sampled_from(pool)) for _ in ys]
+    return schedule, values
+
+
+@given(replayed_ladders(), st.sampled_from(["default", "last", "below"]))
+@settings(max_examples=500)
+def test_the_float_rules_decide_as_the_numpy_rules(ladder, tolerance_kind):
+    schedule, values = ladder
+    last = abs(complex(values[-1]) - complex(values[-2]))  # the last diff, as a rung computes it
+    tolerance = {"default": 1e-6, "last": last, "below": math.nextafter(last, -math.inf)}[tolerance_kind]
+    replay = iter(values)
+    report = limit_probe(lambda z: next(replay), 0.0, schedule, tolerance)
+    got = (report.verdict, report.fitted_rate, report.rate_residual, report.limit_estimate)
+    assert repr(got) == repr(_numpy_rules(report, tolerance))

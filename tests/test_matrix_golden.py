@@ -3,10 +3,12 @@ record kept in ``matrix_golden.json``.
 
 The record was written by the matrix oracle as it stood before a model kept
 its spectral weights w^2 mu and a sample was built in one division, so it
-checks that division against an independent result.  It holds ``float.hex``
-of every float, so signed zeros and the last bit count.  The seeded case
-forms its m x m products with BLAS and takes their norms with LAPACK, so its
-bits belong to one BLAS build.  To print the record the current code gives:
+checks that division against an independent result.  Its fitted rates and
+residuals were rewritten when every line fit became one closed form; no
+sample or verdict moved.  It holds ``float.hex`` of every float, so signed
+zeros and the last bit count.  The seeded case forms its m x m products with
+BLAS and takes their norms with LAPACK, so its bits belong to one BLAS build.
+To print the record the current code gives:
 
     PYTHONPATH=src python tests/test_matrix_golden.py
 """
