@@ -10,13 +10,12 @@ import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from resolvent_limits import (
     DensityFamily,
     SpectralMeasure,
     WeightFunction,
     evaluate_offaxis,
+    fit_divergence_rate,
     plemelj_boundary,
 )
 
@@ -26,7 +25,7 @@ def main():
     ap.add_argument("--out", default="out/holder_rates", help="output directory")
     ap.add_argument("--alphas", type=float, nargs="+", default=[0.3, 0.5, 0.7, 1.0])
     ap.add_argument("--ymax", type=float, default=0.1)
-    ap.add_argument("--steps", type=int, default=14)
+    ap.add_argument("--steps", type=int, default=14, help="rungs of the y-ladder per exponent (at least 4)")
     args = ap.parse_args()
 
     outdir = Path(args.out)
@@ -50,7 +49,7 @@ def main():
             gap = abs(evaluate_offaxis(measure, weight, complex(0.0, y)).value - limit)
             gaps.append(gap)
             rows.append((alpha, y, gap))
-        slope = float(np.polyfit(np.log(ys), np.log(gaps), 1)[0])
+        slope = fit_divergence_rate(gaps, ys)[0]
         summary.append((alpha, slope))
 
     with (outdir / "rates.csv").open("w", newline="") as fh:

@@ -41,14 +41,15 @@ rounded differently on the two sides, has one.
 A y-ladder at one lam calls the kernel again and again with the same data and
 Re z, and everything but the y-dependent terms depends on those alone: the
 piece edges, c, the rises of c at the edges, the atoms' m w(loc)^2, the seed
-grid and phi - c on its nodes.  They form a plan, and the last plan is kept in
-one slot, reused while (measure, weight, Re z) compares equal; measures and
-weights are frozen, their parameters included, so equal keys mean equal data.
-Every rung of a ladder and its boundary value integrate over the plan's one
-grid, and a rung that does not bisect makes no catalog call: the quadrature's
-first integrand call is on the grid's own node array, so one identity test
-finds phi - c on it.  Each shared number is the one the same operations give
-at the first rung, so a shared plan changes no result, bit for bit.
+grid and phi - c on its nodes.  They form a plan, built whole; the last plan
+is kept in one slot, reused while (measure, weight, Re z) compares equal;
+measures and weights are frozen, their parameters included, so equal keys mean
+equal data.  Every rung of a ladder, its boundary value and ``weighted_mass``
+integrate the plan's phi - c over its one grid, and a rung that does not
+bisect makes no catalog call: the quadrature's first integrand call is on the
+grid's own node array, where the plan reads its stored phi - c.  Each shared
+number is the one the same operations give for a fresh plan, so a shared plan
+changes no result, bit for bit.
 
 Near/far splitting truncates densities at ``lam +- eps`` and routes atoms by
 the open interval ``(lam - eps, lam + eps)``; the far part obeys the a priori
@@ -126,9 +127,9 @@ def _graded(e: float, side: float, step: float, stop: float) -> list:
 
 class _Plan:
     """What C(z) needs from the data and Re z alone, shared by a ladder's
-    rungs: the piece edges and their one-sided values c, the nonzero rises of
-    c at the edges, the atoms' m w(loc)^2, the seed grid and phi - c on its
-    nodes."""
+    rungs and built whole: the piece edges and their one-sided values c, the
+    nonzero rises of c at the edges, the atoms' m w(loc)^2, the seed grid and
+    phi - c on its nodes."""
 
     def __init__(self, measure: SpectralMeasure, weight: WeightFunction, x0: float):
         self.key = (measure, weight, x0)
@@ -170,16 +171,15 @@ class _Plan:
                     stop = min(stop, 0.5 * abs(e - x0))
                 breaks += _graded(e, side, GRADING * (b - a), stop)
         self.grid = seed_grid(edges[0], edges[-1], breaks)
-        self.on_grid = None  # phi - c on the grid's nodes, set by the first rung; weighted_mass never reads it
-
-    def phi(self, x: np.ndarray) -> np.ndarray:
-        """w^2 rho at the nodes x."""
-        measure, weight, _ = self.key
-        return weight.values(x) ** 2 * measure.density_values(x)
+        self.on_grid = self.numerator(self.grid.nodes.view())  # on a view, numerator computes
 
     def numerator(self, x: np.ndarray) -> np.ndarray:
-        """phi - c at the nodes x, c the value of the piece holding each node."""
-        return self.phi(x) - self.cs[np.searchsorted(self.inner, x, side="right")]
+        """phi - c at the nodes x, c the value of the piece holding each node;
+        the stored values when x is the grid's own node array."""
+        if x is self.grid.nodes:
+            return self.on_grid
+        measure, weight, _ = self.key
+        return weight.values(x) ** 2 * measure.density_values(x) - self.cs[np.searchsorted(self.inner, x, side="right")]
 
 
 _last_plan = None  # one slot: consecutive calls on one ladder share its plan
@@ -206,12 +206,8 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
         if y or e != x0:
             total -= rise * cmath.log(complex(e - x0, -y))
 
-    if plan.on_grid is None:
-        plan.on_grid = plan.numerator(plan.grid.nodes)
-    grid, on_grid = plan.grid, plan.on_grid
-
     def subtracted(x):
-        num = on_grid if x is grid.nodes else plan.numerator(x)
+        num = plan.numerator(x)
         if y:
             return num / (x - z)
         # real at y = 0+, so a subnormal x - lam cannot overflow a complex
@@ -219,7 +215,7 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
         d = x - x0
         return np.divide(num, d, out=np.zeros_like(d), where=d != 0)
 
-    res = integrate_adaptive(subtracted, grid, abs_tol=abs_tol)
+    res = integrate_adaptive(subtracted, plan.grid, abs_tol=abs_tol)
     return TransformValue(total + res.value, res.error, res.panels, res.tolerance_met)
 
 
@@ -303,22 +299,21 @@ def weighted_mass(
     weight: WeightFunction,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> tuple:
-    """Total mass of w^2 d mu: quadrature over densities plus atom terms.
-
-    The seed grid is a kernel plan's with no cut and no pole (Re z = -inf):
-    the piece edges, the catalog's seeds and the seeds graded into the cusps.
-    The plan is built apart from the one a ladder keeps.  Returns (value,
+    """Total mass of w^2 d mu: the kernel's identity with kernel 1 in place of
+    1/(x - z), integral of phi = integral of (phi - c) + sum of c_k (hi_k - lo_k),
+    over a kernel plan with no cut and no pole (Re z = -inf), plus the atom
+    terms, all summed by ``math.fsum`` (the same bits on every Python).  The
+    plan is built apart from the one a ladder keeps.  Returns (value,
     error_estimate).
     """
     plan = _Plan(measure, weight, -math.inf)
-    total = 0.0
-    err = 0.0
+    terms, err = [mw for _, mw in plan.atoms], 0.0
     if plan.edges:
-        res = integrate_adaptive(plan.phi, plan.grid, abs_tol=abs_tol)
-        total, err = res.value.real, res.error
-    for _, mw in plan.atoms:
-        total += mw
-    return float(total), float(err)
+        res = integrate_adaptive(plan.numerator, plan.grid, abs_tol=abs_tol)
+        pieces = zip(plan.cs.tolist(), plan.edges, plan.edges[1:])
+        terms += [res.value.real, *(c * (hi - lo) for c, lo, hi in pieces)]
+        err = res.error
+    return math.fsum(terms), err
 
 
 def far_bound(split: SplitMeasure, weight: WeightFunction) -> float:

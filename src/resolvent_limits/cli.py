@@ -437,8 +437,7 @@ def cmd_stone_density(cfg: ExperimentConfig) -> tuple:
     )
     result = stone_density(ev, cfg.lam, cfg.schedule)
     reference = cfg.weight(cfg.lam) ** 2 * cfg.measure.density_at(cfg.lam)
-    estimates = result.density_estimates
-    columns = [cfg.schedule.values, [d * math.pi for d in estimates], estimates]
+    columns = [cfg.schedule.values, result.transform_imag, result.density_estimates]
     doc = {
         "extrapolated": result.extrapolated,
         "catalog_reference": reference,

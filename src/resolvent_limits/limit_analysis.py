@@ -278,6 +278,7 @@ def compactness_probe(
 
 
 class StoneDensityResult(NamedTuple):
+    transform_imag: tuple  # Im C(lam + iy) at each rung
     density_estimates: tuple
     extrapolated: float
 
@@ -293,14 +294,19 @@ def stone_density(
     sample contributes its trace.  The y -> 0 value is the intercept of the
     least-squares line of the estimates against y, by the same closed form as
     every rate fit, over the tail half of the schedule (smallest y), where the
-    Holder error term is negligible.  For catalog data this recovers
-    w(lam)^2 rho(lam).
+    Holder error term is negligible.  The tail's y are divided by its largest
+    first: that keeps the intercept in exact arithmetic, and keeps the fit's
+    squares of y from underflowing below about 1e-162.  For catalog data this
+    recovers w(lam)^2 rho(lam).
     """
-    estimates = [s.shadow.imag / math.pi for s in _rungs(evaluator, lam, schedule)]
+    imags = [s.shadow.imag for s in _rungs(evaluator, lam, schedule)]
+    estimates = [v / math.pi for v in imags]
     tail = max(4, len(estimates) // 2)
+    ys = schedule.values[-tail:]
     return StoneDensityResult(
+        transform_imag=tuple(imags),
         density_estimates=tuple(estimates),
-        extrapolated=_line_fit(schedule.values[-tail:], estimates[-tail:])[2],
+        extrapolated=_line_fit([y / ys[0] for y in ys], estimates[-tail:])[2],
     )
 
 

@@ -303,9 +303,9 @@ def test_weighted_mass_between_rungs_leaves_the_ladder_its_grid(monkeypatch):
 
 
 def test_weighted_mass_calls_the_catalog_once_for_its_integrand(monkeypatch):
-    # the mass integrates phi, so its plan never evaluates phi - c on the
-    # seed grid: one density call, and weight calls for the atom, the
-    # one-sided values and phi
+    # the plan evaluates phi - c on its seed grid as it is built, and the
+    # quadrature's first call reads those values: one density call, and
+    # weight calls for the atom, the one-sided values and phi - c
     measure = SpectralMeasure(
         (DensityFamily("power_bump", {"level": 1.0, "exponent": 0.5, "center": 0.2}, (-0.4, 0.8)),),
         (Atom(0.1, 0.5),),
@@ -317,6 +317,58 @@ def test_weighted_mass_calls_the_catalog_once_for_its_integrand(monkeypatch):
         monkeypatch.setattr(cls, name, lambda self, x, f=f: calls.append(f.__name__) or f(self, x))
     weighted_mass(measure, weight)
     assert (calls.count("density_values"), calls.count("values")) == (1, 3)
+
+
+def _bits(value):
+    """An array by its bytes, a tuple or list item by item, anything else by
+    its repr, which gives a float's bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return type(value), [_bits(v) for v in value]
+    return repr(value)
+
+
+def _snapshot(plan) -> dict:
+    """Each attribute of a plan: the object it names and its bits."""
+    return {name: (id(value), _bits(value)) for name, value in vars(plan).items()}
+
+
+def test_a_plan_is_whole_when_built_and_no_rung_writes_to_it():
+    # the golden record's smooth-cosine data at a generic lambda: phi - c on
+    # the seed grid is there before the first rung, and a 12-rung ladder and
+    # its boundary value leave every attribute as they found it
+    measure = SpectralMeasure((DensityFamily("smooth_bump", {"level": 1.2, "center": 0.0, "half_width": 0.8}),))
+    weight = WeightFunction("cosine_bump", {"center": 0.0, "half_width": 1.0})
+    plan = ct._last_plan = ct._Plan(measure, weight, 0.31)
+    nodes = plan.grid.nodes.copy()
+    c = plan.cs[np.searchsorted(plan.inner, nodes, side="right")]
+    expected = weight.values(nodes) ** 2 * measure.density_values(nodes) - c
+    assert plan.on_grid.tobytes() == expected.tobytes()
+    assert plan.numerator(plan.grid.nodes) is plan.on_grid
+    before = _snapshot(plan)
+    for k in range(1, 13):
+        evaluate_offaxis(measure, weight, complex(0.31, 10.0 ** -k))
+    plemelj_boundary(measure, weight, 0.31)
+    assert ct._last_plan is plan
+    assert _snapshot(plan) == before
+
+
+@given(spectral_measures(), weight_functions())
+@settings(max_examples=60)
+def test_weighted_mass_matches_the_direct_integral_of_phi(measure, weight):
+    # the identity with kernel 1 against the quadrature of w^2 rho itself over
+    # the same grid; the two differ by rounding of the panel sums, which the
+    # last term bounds
+    mass, err = weighted_mass(measure, weight)
+    plan = ct._Plan(measure, weight, -math.inf)
+    reference, ref_err, scale = math.fsum(mw for _, mw in plan.atoms), 0.0, 0.0
+    if plan.edges:
+        res = ct.integrate_adaptive(lambda x: weight.values(x) ** 2 * measure.density_values(x), plan.grid)
+        reference += res.value.real
+        ref_err = res.error
+        scale = float(np.max(plan.cs, initial=0.0) * (plan.edges[-1] - plan.edges[0]))
+    assert abs(mass - reference) <= err + ref_err + 64 * EPS * (scale + abs(reference))
 
 
 def _reference_breakpoints(measure, weight, x0):

@@ -15,7 +15,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import resolvent_limits
-from resolvent_limits import DensityFamily, SpectralMeasure, WeightFunction, YSchedule, compactness_probe, discretize
+from resolvent_limits import (
+    DensityFamily,
+    SpectralMeasure,
+    WeightFunction,
+    YSchedule,
+    compactness_probe,
+    discretize,
+    evaluate_offaxis,
+)
 from resolvent_limits.cli import (
     _COMMANDS,
     CSV_VERSION,
@@ -277,6 +285,24 @@ def test_stone_density_outputs(tmp_path):
     assert main(["stone-density", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "t_stone_summary.json").read_text())
     assert abs(summary["extrapolated"] - summary["catalog_reference"]) < 1e-4
+
+
+def test_stone_density_writes_each_rung_im_c(tmp_path):
+    # (Im C / pi) * pi is not Im C: on this ladder 10 of its 17 rungs differ
+    # from it by an ulp
+    measure = {
+        "ac_parts": [{"kind": "smooth_bump", "parameters": {"level": 1.2, "center": 0.0, "half_width": 0.8}}],
+        "atoms": [],
+    }
+    weight = {"kind": "cosine_bump", "parameters": {"center": 0.0, "half_width": 1.0}}
+    schedule = {"y_max": 0.1, "y_min": 1e-6, "ratio": 0.5}
+    cfg = write_config(tmp_path / "c.json", measure=measure, weight=weight, schedule=schedule, **{"lambda": 0.31})
+    out = tmp_path / "out"
+    assert main(["stone-density", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "t_stone_density.csv").read_text().splitlines()[2:]
+    c = load_config(cfg)
+    expected = [evaluate_offaxis(c.measure, c.weight, complex(0.31, y)).value.imag for y in c.schedule.values]
+    assert [float(row.split(",")[1]) for row in rows] == expected
 
 
 def test_stone_density_rejects_atom_probe(tmp_path):

@@ -142,7 +142,7 @@ PLAIN_RECORDS = {
     ),
     LimitReport: (("lam", "schedule", "samples", "verdict", "fitted_rate", "limit_estimate", "rate_residual"), {}),
     CompactnessReport: (("s", "truncation_radii", "singular_values", "sup_bounds"), {}),
-    StoneDensityResult: (("density_estimates", "extrapolated"), {}),
+    StoneDensityResult: (("transform_imag", "density_estimates", "extrapolated"), {}),
     HolderEstimate: (("alpha_hat", "constant_hat", "fit_window", "residual"), {}),
     OperatorSample: (("z", "diag", "product", "norm"), {}),
     SplitMeasure: (("near", "far", "lam", "eps"), {}),
@@ -444,6 +444,24 @@ def test_stone_density_matches_plemelj_jump():
     res = stone_density(ev, lam, SCHED)
     jump = plemelj_boundary(FLAT, PLATEAU, lam).imag / math.pi
     assert res.extrapolated == pytest.approx(jump, rel=1e-4)
+
+
+@pytest.mark.parametrize("y_max, y_min", [(1e-170, 1e-180), (1e-290, 1e-300)])
+def test_stone_density_extrapolates_on_a_ladder_far_below_1e_162(y_max, y_min):
+    # configs/stone_density.json's data: below about 1e-162 the squares of the
+    # tail's y underflow to 0, so the fit runs on y over the tail's largest y,
+    # which leaves the intercept that of the exact line through the same floats
+    measure = SpectralMeasure((DensityFamily("smooth_bump", {"level": 1.2, "center": 0.0, "half_width": 0.8}),))
+    weight = WeightFunction("cosine_bump", {"center": 0.0, "half_width": 1.0})
+    sched = YSchedule(y_max=y_max, y_min=y_min, ratio=0.5)
+    res = stone_density(lambda z: evaluate_offaxis(measure, weight, z), 0.2, sched)
+    tail = max(4, len(sched.values) // 2)
+    X = [Fraction(y) for y in sched.values[-tail:]]
+    Y = [Fraction(d) for d in res.density_estimates[-tail:]]
+    mx, my = sum(X) / tail, sum(Y) / tail
+    slope = sum((x - mx) * (y - my) for x, y in zip(X, Y)) / sum((x - mx) ** 2 for x in X)
+    assert abs(Fraction(res.extrapolated) - (my - slope * mx)) <= 4 * EPS * max(map(abs, Y))
+    assert abs(res.extrapolated - weight(0.2) ** 2 * measure.density_at(0.2)) < 1e-12
 
 
 def test_dichotomy_regularized_vs_raw():
