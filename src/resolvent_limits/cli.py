@@ -5,10 +5,12 @@ Commands
 probe-limit     drive limit_probe along the configured y-schedule
                 (exit 0 on a CONVERGES/DIVERGES verdict, 2 on INCONCLUSIVE)
 compare-oracle  identity model's discrete transform (its trace) against the
-                quadrature transform
+                quadrature transform, both ladders read through the rung
+                loop that probe-limit and stone-density share
                 (exit 0 iff every non-skipped relative gap meets tolerance,
                 else 2; rows with y below 10x the local grid spacing are
-                reported as SKIPPED)
+                reported as SKIPPED; exit 1 on a sample that is not finite,
+                on any row)
 compactness     singular values of the damped rigging model plus tail sups
 stone-density   spectral density from (1/pi) Im C(lam + iy) with y -> 0 fit
 holder-fit      local Holder exponent fit of the configured density or weight
@@ -57,6 +59,7 @@ from .limit_analysis import (
     DIVERGES,
     HolderEstimate,
     YSchedule,
+    _rungs,
     compactness_probe,
     estimate_holder,
     geometric_radii,
@@ -278,15 +281,23 @@ def _section(raw: dict, key: str) -> dict:
     return {_PREFIX.get(key, "") + k: _read_key(f"{key} {k}", v, specs[k]) for k, v in sub.items()}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if it names a key twice: ``json.loads`` alone keeps the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        raise ConfigError(f"config names {', '.join(map(repr, repeated))} more than once in one object")
+    return obj
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_bytes())  # UTF-8 (or a BOM's encoding), whatever the locale's
+        # UTF-8 (or a BOM's encoding), whatever the locale's
+        raw = json.loads(Path(path).read_bytes(), object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    read_object("config", raw, (*_TOP, *_SECTIONS))
-    for required in ("measure", "weight"):
-        if required not in raw:
-            raise ConfigError(f"config is missing required section {required!r}")
+    read_object("config", raw, (*_TOP, *_SECTIONS), ("measure", "weight"))
 
     try:
         top = {("lam" if k == "lambda" else k): _read_key(k, raw[k], spec) for k, spec in _TOP.items() if k in raw}
@@ -326,6 +337,11 @@ def _render(output) -> str:
     return f"# {CSV_VERSION}: {title}\n{','.join(header)}\n" + row * len(columns[0]) % tuple(cells)
 
 
+def _transform(cfg: ExperimentConfig, measure: SpectralMeasure):
+    """z -> C(z), the quadrature transform of ``measure`` under the config's weight and tolerance."""
+    return lambda z: evaluate_offaxis(measure, cfg.weight, z, abs_tol=cfg.tolerances.quadrature_abs)
+
+
 def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
     warnings = []
     if cfg.evaluator == "matrix":
@@ -335,7 +351,7 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
         else:
             ev = lambda z: sandwiched_resolvent(model, z)
         floor = resolution_floor(model, cfg.lam)
-        if floor > 0 and min(cfg.schedule.values) < floor:
+        if cfg.schedule.values[-1] < floor:
             warnings.append(
                 f"schedule reaches below 10x the local grid spacing ({floor:.3e}); "
                 "discreteness can masquerade as point spectrum there"
@@ -345,9 +361,7 @@ def cmd_probe_limit(cfg: ExperimentConfig) -> tuple:
         if cfg.regularize:
             atoms = tuple(a for a in measure.atoms if a.location != cfg.lam)
             measure = SpectralMeasure(ac_parts=measure.ac_parts, atoms=atoms)
-        ev = lambda z: evaluate_offaxis(
-            measure, cfg.weight, z, abs_tol=cfg.tolerances.quadrature_abs
-        )
+        ev = _transform(cfg, measure)
 
     report = limit_probe(ev, cfg.lam, cfg.schedule, tolerance=cfg.tolerances.convergence)
     # each record's own fields, read shallowly; only what JSON cannot hold as is is spelled out
@@ -383,19 +397,15 @@ def cmd_compare_oracle(cfg: ExperimentConfig) -> tuple:
     model = discretize(cfg.measure, cfg.weight, cfg.n, SAME)
     floor = resolution_floor(model, cfg.lam)
 
+    forms = _rungs(lambda z: quadratic_form(model, z), cfg.lam, cfg.schedule)
+    transforms = _rungs(_transform(cfg, cfg.measure), cfg.lam, cfg.schedule)
     rows = []
-    worst = 0.0
-    checked = 0
-    for y in cfg.schedule.values:
-        z = complex(cfg.lam, y)
-        form = quadratic_form(model, z)
-        tv = evaluate_offaxis(cfg.measure, cfg.weight, z, abs_tol=cfg.tolerances.quadrature_abs)
-        gap = abs(form - tv.value) / max(abs(tv.value), 1e-300)
-        skipped = y < floor
-        if not skipped:
-            worst = max(worst, gap)
-            checked += 1
-        rows.append((y, form.real, form.imag, tv.value.real, tv.value.imag, gap, "SKIPPED" if skipped else "OK"))
+    for sample, tv in zip(forms, transforms):
+        y, f, c = sample.y, sample.shadow, tv.shadow
+        gap = abs(f - c) / max(abs(c), 1e-300)
+        rows.append((y, f.real, f.imag, c.real, c.imag, gap, "SKIPPED" if y < floor else "OK"))
+    gaps = [row[5] for row in rows if row[6] == "OK"]
+    worst, checked = max(gaps, default=0.0), len(gaps)
 
     ok = worst <= cfg.tolerances.oracle_rel_gap
     doc = {
@@ -432,10 +442,7 @@ def cmd_compactness(cfg: ExperimentConfig) -> tuple:
 def cmd_stone_density(cfg: ExperimentConfig) -> tuple:
     if any(a.location == cfg.lam and a.mass * cfg.weight(cfg.lam) ** 2 for a in cfg.measure.atoms):
         raise ConfigError(f"stone-density probe point {cfg.lam} coincides with an atom the weight sees")
-    ev = lambda z: evaluate_offaxis(
-        cfg.measure, cfg.weight, z, abs_tol=cfg.tolerances.quadrature_abs
-    )
-    result = stone_density(ev, cfg.lam, cfg.schedule)
+    result = stone_density(_transform(cfg, cfg.measure), cfg.lam, cfg.schedule)
     reference = cfg.weight(cfg.lam) ** 2 * cfg.measure.density_at(cfg.lam)
     columns = [cfg.schedule.values, result.transform_imag, result.density_estimates]
     doc = {

@@ -26,6 +26,10 @@ exponent of a catalog function from its two-sided increments
 (``estimate_holder``, the paper's condition on w^2 rho at lam), each through
 log-log data, and the Stone density's tail against y.  A rung whose sample is
 not finite is refused, so no fit or rule reads an inf or a NaN.
+
+``_rungs`` is the one loop down a y-ladder: ``limit_probe`` and
+``stone_density`` read it, and so does the CLI's compare-oracle, for both the
+model's form and the quadrature transform.
 """
 
 from __future__ import annotations
@@ -147,7 +151,9 @@ def _rungs(evaluator: Callable[[complex], object], lam: float, schedule: YSchedu
 
     Evaluator exceptions are re-raised as EvaluatorFailure carrying the
     offending y, and so is a FloatingPointError for the first rung whose
-    shadow, norm or distance is not finite.
+    shadow, norm or distance is not finite.  ``limit_probe``,
+    ``stone_density`` and the CLI's compare-oracle (both of its ladders) read
+    their samples here.
     """
     samples, last = [], None  # last: the previous rung's evaluator result
     for y in schedule.values:

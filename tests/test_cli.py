@@ -499,6 +499,60 @@ def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
+ATOM_ONLY_LADDER = {
+    "measure": {"atoms": [{"location": 0.0, "mass": 1.0}]},
+    "weight": PLATEAU_WEIGHT,
+    "lambda": 0.0,
+    "schedule": {"y_max": 1e-300, "y_min": 1e-320, "ratio": 0.5},
+}
+ORACLE_AT_ITS_ATOM = {"lambda": 0.7, "schedule": {"y_max": 0.1, "y_min": 1e-320, "ratio": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "config", [ATOM_ONLY_LADDER, ORACLE_AT_ITS_ATOM], ids=["atom-only-no-floor", "shipped-config-at-its-atom"]
+)
+def test_compare_oracle_refuses_a_sample_that_is_not_finite(tmp_path, config):
+    # below y ~ 1e-308 the form's c/(x - z) overflows on the atom node and its
+    # relative gap is NaN, which max() over the checked rows used to drop: the
+    # run passed with every row checked (no floor) or with those rows SKIPPED
+    raw = json.loads((ROOT / "configs" / "compare_oracle.json").read_text())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**raw, **config}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "resolvent_limits.cli", "compare-oracle", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 1
+    assert "error: evaluator failed at y=" in proc.stderr
+    assert "FloatingPointError('sample is not finite: " in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+CONFIG_TEXT_ERRORS = {
+    "top-level-key-twice": (
+        '{"measure": {"atoms": []}, "weight": %s, "lambda": 0.0, "lambda": 0.3}',
+        "config names 'lambda' more than once in one object",
+    ),
+    "parameters-key-twice": (
+        '{"measure": {"ac_parts": [{"kind": "constant", "parameters": {"level": 1.0, "level": 2.0}}]}, "weight": %s}',
+        "config names 'level' more than once in one object",
+    ),
+    "measure-missing": ('{"weight": %s}', "config is missing key 'measure'"),
+}
+
+
+@pytest.mark.parametrize("text, message", CONFIG_TEXT_ERRORS.values(), ids=CONFIG_TEXT_ERRORS)
+def test_config_text_errors(tmp_path, text, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text % json.dumps(PLATEAU_WEIGHT))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(cfg)
+    assert str(excinfo.value) == message
+
+
 def test_a_document_json_cannot_hold_is_written_nowhere(tmp_path, monkeypatch, capsys):
     # the first output renders; the second holds NaN, so neither is written
     command = lambda cfg: ("summary", 0, {"good.json": {"x": 1.0}, "bad.json": {"x": math.nan}})
