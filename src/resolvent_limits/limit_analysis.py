@@ -144,6 +144,9 @@ def _loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     return _line_fit(np.log(xs).tolist(), np.log(ys).tolist())
 
 
+# numpy's floating-point warnings are off down the whole ladder, set once a
+# call: the finiteness check in the loop is the one refusal of a rung
+@np.errstate(all="ignore")
 def _rungs(evaluator: Callable[[complex], object], lam: float, schedule: YSchedule) -> list:
     """One ProbeSample per rung down the schedule, each with its distance to
     the one before: the operator-norm distance between two matrix samples,
@@ -151,9 +154,9 @@ def _rungs(evaluator: Callable[[complex], object], lam: float, schedule: YSchedu
 
     Evaluator exceptions are re-raised as EvaluatorFailure carrying the
     offending y, and so is a FloatingPointError for the first rung whose
-    shadow, norm or distance is not finite.  ``limit_probe``,
-    ``stone_density`` and the CLI's compare-oracle (both of its ladders) read
-    their samples here.
+    shadow, norm or distance is not finite, with no overflow or invalid-value
+    warning before it.  ``limit_probe``, ``stone_density`` and the CLI's
+    compare-oracle (both of its ladders) read their samples here.
     """
     samples, last = [], None  # last: the previous rung's evaluator result
     for y in schedule.values:

@@ -25,6 +25,7 @@ eigenvalue); continuum nodes are strictly increasing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -152,10 +153,11 @@ class OperatorSample(NamedTuple):
         return complex(np.trace(self.product))
 
     def distance(self, other: OperatorSample) -> float:
-        """Operator norm of ``self.T - other.T`` for samples of one model."""
+        """Operator norm of ``self.T - other.T`` for samples of one model
+        (NaN for two products whose difference is not finite)."""
         if self.product is None:
             return _max_abs(self.diag - other.diag)
-        return operator_norm(self.product - other.product)
+        return _spectral_norm(self.product - other.product)
 
 
 def _seeded_embedding(m: int, n: int, seed: int) -> np.ndarray:
@@ -262,7 +264,7 @@ def _resolvent_sample(model: MatrixModel, z: complex, keep: np.ndarray | None) -
         return OperatorSample(z=z, diag=diag, product=None, norm=_max_abs(diag))
     P = _factored(model.embedding, diag)
     P.setflags(write=False)
-    return OperatorSample(z=z, diag=diag, product=P, norm=operator_norm(P))
+    return OperatorSample(z=z, diag=diag, product=P, norm=_spectral_norm(P))
 
 
 def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
@@ -274,14 +276,21 @@ def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
     return _resolvent_sample(model, z, keep=None)
 
 
+def _spectral_norm(T: np.ndarray) -> float:
+    """Largest singular value of a 2-d array (0 when it is empty); NaN when an
+    entry is not finite, as ``_max_abs`` gives for a diagonal holding a NaN,
+    so a y-ladder refuses such a sample by its norm."""
+    if not np.all(np.isfinite(np.abs(T))):
+        return math.nan
+    return float(np.linalg.norm(T, 2)) if T.size else 0.0
+
+
 def operator_norm(T: np.ndarray) -> float:
     """Largest singular value (0 for an empty matrix)."""
-    T = np.atleast_2d(np.asarray(T))
-    if not np.all(np.isfinite(np.abs(T))):
+    norm = _spectral_norm(np.atleast_2d(np.asarray(T)))
+    if math.isnan(norm):
         raise ValueError("operator_norm requires finite entries")
-    if T.size == 0:
-        return 0.0
-    return float(np.linalg.norm(T, 2))
+    return norm
 
 
 def eigen_contribution(model: MatrixModel, lam: float) -> tuple:

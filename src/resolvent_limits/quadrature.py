@@ -12,18 +12,19 @@ A caller builds the seed grid with ``seed_grid`` and hands it to
 over one grid again and again (a y-ladder) may keep the grid and reuse it.
 Per panel the integral is evaluated with an ORDER-point and a 2*ORDER-point
 rule; the finer value is kept and the difference serves as the (conservative)
-error estimate.  All seed panels go to the integrand in one call, on the
-grid's read-only node array itself.  When their summed estimate meets the
-absolute target, their sum is returned at once.  Otherwise the worst panel is
-bisected, both children in one call, until the summed estimate meets the
-target or MAX_PANELS panels are spent.  Either way panels are summed left to
-right, and the returned estimate is the honest sum over panels;
-``tolerance_met`` says whether it meets the target.
+error estimate.  Both rules are module constants, written out as the exact
+floats numpy's ``leggauss`` returns, so no run imports ``numpy.polynomial``
+and no numpy or LAPACK build can move their bits.  All seed panels go to the
+integrand in one call, on the grid's read-only node array itself.  When their
+summed estimate meets the absolute target, their sum is returned at once.
+Otherwise the worst panel is bisected, both children in one call, until the
+summed estimate meets the target or MAX_PANELS panels are spent.  Either way
+panels are summed left to right, and the returned estimate is the honest sum
+over panels; ``tolerance_met`` says whether it meets the target.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 from typing import Callable, NamedTuple, Sequence
 
@@ -39,14 +40,47 @@ ORDER = 12  # points of the coarse rule; the fine rule has twice as many
 MAX_PANELS = 4000  # panel budget of one integral
 
 
-@functools.cache
-def _rule():
-    """Nodes of the ORDER- and 2*ORDER-point rules side by side, and their
-    weights; built on first use, so importing the package leaves
-    ``numpy.polynomial`` unloaded."""
-    x1, w1 = np.polynomial.legendre.leggauss(ORDER)
-    x2, w2 = np.polynomial.legendre.leggauss(2 * ORDER)
-    return np.concatenate((x1, x2)), w1, w2
+# The non-negative halves of the ORDER- and 2*ORDER-point Gauss-Legendre
+# rules, (node, weight) pairs with the nodes ascending, in float.hex: the exact
+# floats that numpy.polynomial.legendre.leggauss returns.  Its nodes are
+# exactly antisymmetric and its weights exactly symmetric, so mirroring a half
+# rebuilds its whole rule bit for bit.
+_COARSE_HALF = (
+    ("0x1.007a5f8f630e4p-3", "0x1.fe40ce6d4f022p-3"),
+    ("0x1.78a8d20a8b19dp-2", "0x1.de3155c256aaep-3"),
+    ("0x1.2cb4f05c077f9p-1", "0x1.a0163e6b1ab6bp-3"),
+    ("0x1.8a30aeed88f36p-1", "0x1.47d7258f22d96p-3"),
+    ("0x1.cee874ffb88b3p-1", "0x1.b60602bce61afp-4"),
+    ("0x1.f68f1d8e42e81p-1", "0x1.8275d9dea6d53p-5"),
+)
+_FINE_HALF = (
+    ("0x1.0660853eda2e8p-4", "0x1.060475e763731p-3"),
+    ("0x1.8769542b94f8dp-3", "0x1.01b7117cf8bd6p-3"),
+    ("0x1.429a8c588e910p-2", "0x1.f25cbce1d1fefp-4"),
+    ("0x1.bc345d81e24b5p-2", "0x1.d91c78acb1b27p-4"),
+    ("0x1.17417bac4d72bp-1", "0x1.b8177ba4a68d7p-4"),
+    ("0x1.4bd2ee5fa1086p-1", "0x1.8fd8936444b19p-4"),
+    ("0x1.7af18edb9ddd6p-1", "0x1.6108ef5044635p-4"),
+    ("0x1.a3d74ce0d3700p-1", "0x1.2c6d5c2eff05ap-4"),
+    ("0x1.c5d841864d0f5p-1", "0x1.e5c6255d25e9dp-5"),
+    ("0x1.e06585a70aa4dp-1", "0x1.6ab884f57c940p-5"),
+    ("0x1.f30f9f0cbf876p-1", "0x1.d375514486effp-6"),
+    ("0x1.fd892de691982p-1", "0x1.9465bd311255dp-7"),
+)
+
+
+def _mirrored(half) -> tuple:
+    """Ascending nodes and their weights of the whole rule on [-1, 1], read-only."""
+    x, w = np.array([[float.fromhex(h) for h in pair] for pair in half]).T
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+_X1, _W1 = _mirrored(_COARSE_HALF)
+_X2, _W2 = _mirrored(_FINE_HALF)
+_NODES = np.concatenate((_X1, _X2))  # both rules side by side, as _panels places them
+_NODES.flags.writeable = False
 
 
 class PanelIntegral(NamedTuple):
@@ -80,7 +114,7 @@ def _panels(lo: np.ndarray, hi: np.ndarray):
     each, panel by panel."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    return half, (mid[:, None] + half[:, None] * _rule()[0]).ravel()
+    return half, (mid[:, None] + half[:, None] * _NODES).ravel()
 
 
 def seed_grid(a: float, b: float, breakpoints: Sequence[float] = ()) -> SeedGrid:
@@ -95,10 +129,9 @@ def seed_grid(a: float, b: float, breakpoints: Sequence[float] = ()) -> SeedGrid
 def _eval_panels(f, half: np.ndarray, xs: np.ndarray):
     """Values and error estimates of the panels with half-widths ``half`` and
     nodes ``xs``, in one call of f."""
-    _, w1, w2 = _rule()
     ys = np.asarray(f(xs)).reshape(half.size, 3 * ORDER)
-    coarse = half * (ys[:, :ORDER] @ w1)
-    fine = half * (ys[:, ORDER:] @ w2)
+    coarse = half * (ys[:, :ORDER] @ _W1)
+    fine = half * (ys[:, ORDER:] @ _W2)
     return fine, np.abs(fine - coarse)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import resolvent_limits
 from resolvent_limits import (
+    SAME,
     DensityFamily,
     SpectralMeasure,
     WeightFunction,
@@ -478,25 +480,27 @@ def test_console_entry_point(tmp_path):
     assert "verdict=CONVERGES" in proc.stdout
 
 
-def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path):
+# the one stderr line of a ladder refused at its first rung that is not
+# finite: no numpy warning comes before it
+NOT_FINITE_LINE = re.compile(r"error: evaluator failed at y=[^:]+: FloatingPointError\('sample is not finite: [^\n]*'\)\n")
+SUBNORMAL_LADDER = {"y_max": 0.01, "y_min": 1e-320, "ratio": 0.5}
+
+
+def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path, capsys):
     # at the subnormal rungs c/(x - z) overflows on the atom node, and the report
     # would hold NaN and Infinity: the probe refuses the first rung that is not
-    # finite; a child process, since in this one pytest turns numpy's overflow
-    # warning into an error that exits 1 for another reason
+    # finite, with the same refusal for the identity model and the embedded
+    # one, and with no numpy warning, which pytest would turn into an error
     raw = json.loads((ROOT / "configs" / "probe_limit_atom.json").read_text())
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(dict(raw, schedule={"y_max": 0.01, "y_min": 1e-320, "ratio": 0.5})))
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "resolvent_limits.cli", "probe-limit", "--config", str(cfg), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
-    )
-    assert proc.returncode == 1
-    assert "error: evaluator failed at y=" in proc.stderr
-    assert "FloatingPointError('sample is not finite: " in proc.stderr
-    assert proc.stdout == "" and not out.exists()
+    for embedding_dim in (SAME, 6):
+        cfg = tmp_path / f"c-{embedding_dim}.json"
+        discretization = {"n": 13, "embedding_dim": embedding_dim}
+        cfg.write_text(json.dumps(dict(raw, schedule=SUBNORMAL_LADDER, discretization=discretization)))
+        out = tmp_path / f"out-{embedding_dim}"
+        assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert NOT_FINITE_LINE.fullmatch(captured.err), captured.err
+        assert captured.out == "" and not out.exists()
 
 
 ATOM_ONLY_LADDER = {
@@ -511,7 +515,7 @@ ORACLE_AT_ITS_ATOM = {"lambda": 0.7, "schedule": {"y_max": 0.1, "y_min": 1e-320,
 @pytest.mark.parametrize(
     "config", [ATOM_ONLY_LADDER, ORACLE_AT_ITS_ATOM], ids=["atom-only-no-floor", "shipped-config-at-its-atom"]
 )
-def test_compare_oracle_refuses_a_sample_that_is_not_finite(tmp_path, config):
+def test_compare_oracle_refuses_a_sample_that_is_not_finite(tmp_path, capsys, config):
     # below y ~ 1e-308 the form's c/(x - z) overflows on the atom node and its
     # relative gap is NaN, which max() over the checked rows used to drop: the
     # run passed with every row checked (no floor) or with those rows SKIPPED
@@ -519,16 +523,10 @@ def test_compare_oracle_refuses_a_sample_that_is_not_finite(tmp_path, config):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({**raw, **config}))
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "resolvent_limits.cli", "compare-oracle", "--config", str(cfg), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
-    )
-    assert proc.returncode == 1
-    assert "error: evaluator failed at y=" in proc.stderr
-    assert "FloatingPointError('sample is not finite: " in proc.stderr
-    assert proc.stdout == "" and not out.exists()
+    assert main(["compare-oracle", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert NOT_FINITE_LINE.fullmatch(captured.err), captured.err
+    assert captured.out == "" and not out.exists()
 
 
 CONFIG_TEXT_ERRORS = {

@@ -255,6 +255,20 @@ def test_a_diff_that_overflows_is_an_evaluator_failure():
     assert info.value.y == SCHED.values[1]
 
 
+def test_a_subnormal_transform_rung_warns_nothing():
+    # the kernel's subtracted integrand divides phi - c by x - z; at a node on
+    # Re z numpy's complex division of 0 by -iy multiplies by 1/y, which
+    # overflows once y is subnormal.  Any refusal of the ladder is the
+    # finiteness check's, never a warning (pytest turns one into an error)
+    bump = DensityFamily("power_bump", {"level": 1.0, "exponent": 0.5, "center": 0.3}, (-1.0, 1.0))
+    cusp = SpectralMeasure(ac_parts=(bump,))
+    weight = WeightFunction("plateau", {"center": 0.0, "half_width": 2.0})
+    try:
+        limit_probe(lambda z: evaluate_offaxis(cusp, weight, z), 0.3, YSchedule(1e-2, 1e-320, 0.5))
+    except EvaluatorFailure as exc:
+        assert isinstance(exc.cause, FloatingPointError), exc.cause
+
+
 def test_limit_probe_inconclusive_on_slow_drift():
     # log-divergent drift: diffs stay constant, norms not monotone enough
     report = limit_probe(lambda z: math.log(1.0 / z.imag), 0.0, SCHED, tolerance=1e-6)

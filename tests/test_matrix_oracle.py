@@ -243,6 +243,12 @@ def test_the_form_and_the_sample_share_one_guard_on_the_axis(k):
 def test_operator_norm_examples():
     assert operator_norm(np.eye(2)) == pytest.approx(1.0, rel=1e-12)
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, rel=1e-12)
+    assert operator_norm(np.zeros((0, 0))) == 0.0
+    # a sample's norm of such a matrix is NaN, which a y-ladder refuses; asked
+    # directly, operator_norm refuses it itself
+    for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="operator_norm requires finite entries"):
+            operator_norm(np.diag([1.0, bad]))
 
 
 @given(st.integers(2, 6), st.integers(0, 10))

@@ -1,4 +1,5 @@
 import cmath
+import math
 import os
 import subprocess
 import sys
@@ -156,14 +157,45 @@ def test_seed_grids_are_pure():
         assert a is not b and a.tobytes() == b.tobytes()
 
 
+# a 12-rung transform ladder and the boundary value at its lambda
+TRANSFORM_RUN = """
+from resolvent_limits import *
+measure = SpectralMeasure(ac_parts=(DensityFamily("constant", {"level": 1.0}, (-1.0, 1.0)),))
+weight = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
+limit_probe(lambda z: evaluate_offaxis(measure, weight, z), 0.25, YSchedule(0.1, 1e-12, 0.1))
+plemelj_boundary(measure, weight, 0.25)
+"""
+
+
 def test_importing_the_package_leaves_numpy_polynomial_unloaded():
-    # the Gauss rules are built on first use, so import (the benchmark's
-    # setup_s, and every console-script run) does not pay for numpy.polynomial
+    # the Gauss rules are constants, so neither import (the benchmark's
+    # setup_s, and every console-script run) nor a transform ladder with its
+    # boundary value pays for numpy.polynomial
     src = os.path.dirname(os.path.dirname(quadrature.__file__))
-    code = (
-        "import sys, resolvent_limits, resolvent_limits.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
-    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    for run in ("", TRANSFORM_RUN):
+        code = (
+            "import sys, resolvent_limits, resolvent_limits.cli\n"
+            + run
+            + "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "order, nodes, weights",
+    [(quadrature.ORDER, quadrature._X1, quadrature._W1), (2 * quadrature.ORDER, quadrature._X2, quadrature._W2)],
+    ids=["12", "24"],
+)
+def test_the_gauss_rules_are_leggauss_mirrored(order, nodes, weights):
+    # within 2 ulps of numpy's rule, not bit for bit: the golden records pin
+    # the bits, so a numpy build whose leggauss moves by an ulp fails no test
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+    for got, ref in ((nodes, ref_nodes), (weights, ref_weights)):
+        assert got.shape == (order,)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+    assert np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert abs(math.fsum(weights) - 2.0) <= 4 * np.spacing(2.0)
+    assert quadrature._NODES.tolist() == [*quadrature._X1.tolist(), *quadrature._X2.tolist()]
