@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -208,12 +209,14 @@ def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs
 
     def subtracted(x):
         num = plan.numerator(x)
-        if y:
+        if abs(y) >= sys.float_info.min:
             return num / (x - z)
-        # real at y = 0+, so a subnormal x - lam cannot overflow a complex
-        # division; a node rounded onto Re z sits on an integrable singularity
-        d = x - x0
-        return np.divide(num, d, out=np.zeros_like(d), where=d != 0)
+        # at a subnormal y numpy divides by (x - lam) - iy through 1/y, which
+        # overflows, so a node on Re z, where phi - c is 0, gives 0; at y = 0+
+        # the division is real, so a subnormal x - lam cannot overflow, and a
+        # node rounded onto Re z sits on an integrable singularity
+        d = x - z if y else x - x0
+        return np.divide(num, d, out=np.zeros_like(d), where=(num != 0) if y else (d != 0))
 
     res = integrate_adaptive(subtracted, plan.grid, abs_tol=abs_tol)
     return TransformValue(total + res.value, res.error, res.panels, res.tolerance_met)

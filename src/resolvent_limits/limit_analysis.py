@@ -126,9 +126,12 @@ def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     """Least-squares line through the points (xs, ys): (slope, RMS residual,
     intercept), in closed form from centred two-pass sums.  Each sum is a
     ``math.fsum``, whose bits do not depend on the Python version (``sum``
-    compensates from 3.12 on).  Raises DegenerateFit when all xs are equal."""
+    compensates from 3.12 on).  Raises DegenerateFit when all xs are equal;
+    when all ys are, the line is exact, as the rounded mean of ys need not be."""
     if min(xs) == max(xs):
         raise DegenerateFit("all abscissae equal; slope undefined")
+    if all(y == ys[0] for y in ys):
+        return 0.0, 0.0, ys[0] + 0.0  # + 0.0: the mean of zeros is 0.0, never -0.0
     n = len(xs)
     mx, my = math.fsum(xs) / n, math.fsum(ys) / n
     dxs = [x - mx for x in xs]

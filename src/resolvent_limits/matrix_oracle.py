@@ -6,13 +6,13 @@ an isometric-row embedding (``None`` for the identity, otherwise an m x n
 matrix with orthonormal rows; ``discretize`` draws a seeded one).  The node,
 mass, weight and flag arrays plus ``J`` are the whole model; it also carries
 its spectral weights ``c_i = w_i^2 mu_i``, squared once when it is built.  A
-sample ``T_z = F (H - z)^{-1} F*`` is ``J diag(c_i / (x_i - z)) J*``, its
-diagonal one division over the nodes (the regularized sample divides only
-the kept ones), and no n x n array is ever formed for it.  For the identity
-the sample is the diagonal alone, and its norm, differences and trace are
-``max |d|`` and ``sum d``.  For an embedding the m x m product is formed
-once, when the sample is taken, and its norm, trace and distance to other
-samples are read from that one matrix.  No linear solves: resolvent
+sample ``T_z = F (H - z)^{-1} F*`` is ``J diag(c_i / (x_i - z)) J*``, and no
+n x n array is ever formed for it.  One division gives ``c_i / (x_i - z)``
+to both samples (the regularized one divides only the kept nodes) and to
+``quadratic_form``.  One product gives both samples and
+``eigen_contribution`` the m x m matrix ``J diag(v) J*`` of an embedding,
+formed once with its largest singular value; for the identity the diagonal
+stands alone, with norm ``max |v|``.  No linear solves: resolvent
 application on a diagonal model is exact arithmetic, which keeps rate fits
 clean.
 
@@ -114,13 +114,6 @@ class MatrixModel:
         return self.atom_flags & (self.nodes == lam)
 
 
-def _factored(J: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-    """The dense matrix J diag(v) J*; J = None is the identity."""
-    if J is None:
-        return np.diag(v)
-    return (J * v) @ J.conj().T
-
-
 def _max_abs(v: np.ndarray) -> float:
     """Operator norm of diag(v)."""
     return float(np.abs(v).max()) if v.size else 0.0
@@ -130,11 +123,12 @@ class OperatorSample(NamedTuple):
     """One evaluation of the sandwiched resolvent at a complex point.
 
     The sample is ``J diag(diag) J*`` with ``diag_i = w_i^2 mu_i / (x_i - z)``
-    (zero at excluded nodes) and ``J`` the model's embedding.  ``product`` is
-    that m x m matrix, formed once when the sample is taken and read-only;
-    ``T``, ``trace`` and ``distance`` read it.  For the identity ``product``
-    is None: ``norm``, ``trace`` and ``distance`` are ``max |d|`` and
-    ``sum d`` of the diagonal, and ``T`` builds ``diag(diag)`` on each read.
+    (zero at excluded nodes) and ``J`` the model's embedding.  One division
+    gives ``diag``, and one product gives ``product``, that m x m matrix,
+    with its ``norm``; both arrays are read-only, and ``T``, ``trace`` and
+    ``distance`` read the product.  For the identity ``product`` is None:
+    ``norm``, ``trace`` and ``distance`` are ``max |d|`` and ``sum d`` of the
+    diagonal, and ``T`` builds ``diag(diag)`` on each read.
     """
 
     z: complex
@@ -242,29 +236,28 @@ def discretize(
     return MatrixModel(nodes=nodes, masses=mus, weights=weight.values(nodes), atom_flags=flags, embedding=J)
 
 
-def _off_nodes(model: MatrixModel, z: complex, keep: np.ndarray | None = None) -> complex:
-    """``z`` as a complex; real z on a node (a kept one, with a mask) raises."""
+def _divided(model: MatrixModel, z: complex, keep: np.ndarray | None = None) -> tuple:
+    """(complex z, ``c_i / (x_i - z)``), 0 off a ``keep`` mask, so real z may sit
+    on an excluded node; real z on a (kept) node raises NonrealRequired."""
     z = complex(z)
     if z.imag == 0.0:
         hit = model.nodes == z.real
         if np.any(hit if keep is None else hit & keep):
             raise NonrealRequired(f"z={z} lies on a model node")
-    return z
-
-
-def _resolvent_sample(model: MatrixModel, z: complex, keep: np.ndarray | None) -> OperatorSample:
-    z = _off_nodes(model, z, keep)
     if keep is None:
-        diag = model.spectral_weights / (model.nodes - z)
-    else:
-        # excluded nodes stay 0 and are never divided, so real z may sit on them
-        diag = np.divide(model.spectral_weights, model.nodes - z, out=np.zeros(model.size, complex), where=keep)
-    diag.setflags(write=False)
-    if model.embedding is None:
-        return OperatorSample(z=z, diag=diag, product=None, norm=_max_abs(diag))
-    P = _factored(model.embedding, diag)
+        return z, model.spectral_weights / (model.nodes - z)
+    return z, np.divide(model.spectral_weights, model.nodes - z, out=np.zeros(model.size, complex), where=keep)
+
+
+def _packaged(J: np.ndarray | None, v: np.ndarray) -> tuple:
+    """(J diag(v) J*, its largest singular value), both read-only, or (None,
+    ``max |v|``) for the identity (J None); ``v`` is frozen."""
+    v.setflags(write=False)
+    if J is None:
+        return None, _max_abs(v)
+    P = (J * v) @ J.conj().T
     P.setflags(write=False)
-    return OperatorSample(z=z, diag=diag, product=P, norm=_spectral_norm(P))
+    return P, _spectral_norm(P)
 
 
 def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
@@ -273,7 +266,8 @@ def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
     Real z is rejected only when it hits a node exactly; between nodes it is
     permitted, though outside the Im z != 0 contract.
     """
-    return _resolvent_sample(model, z, keep=None)
+    z, diag = _divided(model, z)
+    return OperatorSample(z, diag, *_packaged(model.embedding, diag))
 
 
 def _spectral_norm(T: np.ndarray) -> float:
@@ -303,8 +297,10 @@ def eigen_contribution(model: MatrixModel, lam: float) -> tuple:
     if not np.any(mask):
         raise NoAtomAtLambda(f"no flagged atom node at lam={lam!r}")
     v = np.where(mask, model.spectral_weights, 0.0)
-    E = _factored(model.embedding, v)
-    return E, _max_abs(v) if model.embedding is None else operator_norm(E)
+    E, norm = _packaged(model.embedding, v)
+    if math.isnan(norm):  # an embedded product that is not finite, as operator_norm refuses it
+        raise ValueError("operator_norm requires finite entries")
+    return np.diag(v) if E is None else E, norm
 
 
 def regularized_resolvent(model: MatrixModel, z: complex, lam: float) -> OperatorSample:
@@ -315,7 +311,8 @@ def regularized_resolvent(model: MatrixModel, z: complex, lam: float) -> Operato
     exactly sandwiched_resolvent; real z is then allowed even at lam itself
     as long as no remaining node is hit.
     """
-    return _resolvent_sample(model, z, keep=~model.atom_mask(lam))
+    z, diag = _divided(model, z, keep=~model.atom_mask(lam))
+    return OperatorSample(z, diag, *_packaged(model.embedding, diag))
 
 
 def quadratic_form(model: MatrixModel, z: complex) -> complex:
@@ -325,7 +322,7 @@ def quadratic_form(model: MatrixModel, z: complex) -> complex:
     node raises NonrealRequired, as it does for the sample."""
     if model.embedding is not None:
         raise ValueError("quadratic_form requires the identity embedding")
-    return complex((model.spectral_weights / (model.nodes - _off_nodes(model, z))).sum())
+    return complex(_divided(model, z)[1].sum())
 
 
 def resolution_floor(model: MatrixModel, lam: float) -> float:

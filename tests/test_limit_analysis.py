@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resolvent_limits import (
@@ -43,7 +43,7 @@ from resolvent_limits import (
     stone_density,
 )
 from resolvent_limits.cli import ExperimentConfig, Tolerances
-from resolvent_limits.limit_analysis import _line_fit, _loglog_fit
+from resolvent_limits.limit_analysis import _line_fit, _loglog_fit, _rungs
 from resolvent_limits.quadrature import PanelIntegral
 
 PLATEAU = WeightFunction("plateau", {"center": 0.0, "half_width": 1.0})
@@ -257,9 +257,10 @@ def test_a_diff_that_overflows_is_an_evaluator_failure():
 
 def test_a_subnormal_transform_rung_warns_nothing():
     # the kernel's subtracted integrand divides phi - c by x - z; at a node on
-    # Re z numpy's complex division of 0 by -iy multiplies by 1/y, which
-    # overflows once y is subnormal.  Any refusal of the ladder is the
-    # finiteness check's, never a warning (pytest turns one into an error)
+    # Re z numpy's complex division of 0 by -iy would multiply by 1/y, which
+    # overflows once y is subnormal, so the kernel gives that node 0.  Any
+    # refusal of the ladder is the finiteness check's, never a warning
+    # (pytest turns one into an error)
     bump = DensityFamily("power_bump", {"level": 1.0, "exponent": 0.5, "center": 0.3}, (-1.0, 1.0))
     cusp = SpectralMeasure(ac_parts=(bump,))
     weight = WeightFunction("plateau", {"center": 0.0, "half_width": 2.0})
@@ -267,6 +268,23 @@ def test_a_subnormal_transform_rung_warns_nothing():
         limit_probe(lambda z: evaluate_offaxis(cusp, weight, z), 0.3, YSchedule(1e-2, 1e-320, 0.5))
     except EvaluatorFailure as exc:
         assert isinstance(exc.cause, FloatingPointError), exc.cause
+
+
+def test_a_transform_ladder_into_subnormal_y_keeps_every_rung():
+    # a node on Re z has phi - c = 0, and at a subnormal y its term is 0, not
+    # 0 / (0 - iy) = 0 * inf; below 1e-20 the O(y) move of Re C and the
+    # quadrature's error are far below 1e-12 (above about 1e-18 the rungs sit
+    # at the quadrature's floor, up to 7e-10 off)
+    bump = DensityFamily("power_bump", {"level": 1.0, "exponent": 0.5, "center": 0.3}, (-1.0, 1.0))
+    cusp = SpectralMeasure(ac_parts=(bump,))
+    weight = WeightFunction("plateau", {"center": 0.0, "half_width": 2.0})
+    schedule = YSchedule(1e-2, 1e-320, 0.5)
+    rows = _rungs(lambda z: evaluate_offaxis(cusp, weight, z), 0.3, schedule)
+    boundary = plemelj_boundary(cusp, weight, 0.3).real
+    assert len(rows) == len(schedule.values) == 1057
+    assert schedule.values[-1] < 2.0**-1022  # subnormal
+    deep = [row.shadow.real for y, row in zip(schedule.values, rows) if y < 1e-20]
+    assert len(deep) == 997 and all(abs(re - boundary) <= 1e-12 for re in deep)
 
 
 def test_limit_probe_inconclusive_on_slow_drift():
@@ -343,6 +361,7 @@ EPS = 2.0**-52
     st.lists(st.floats(-1.0, 1.0), min_size=39, max_size=39),
     st.sampled_from([0.0, 1e-12, 1e-6, 0.1, 10.0]),
 )
+@example(7, 0.5, -1.0, 0.0, 1.4645e-201, [0.0] * 39, 0.0)  # equal ys: the rounded mean is not their value
 @settings(max_examples=200)
 def test_line_fit_matches_the_exact_line_of_its_floats(n, ratio, log_ymax, slope, intercept, noise, scale):
     """A log-log ladder as the probes fit it, against the least-squares line of

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resolvent_limits.matrix_oracle as mo
@@ -440,6 +440,56 @@ def test_the_oracle_is_the_samples_own_formula(case, weight, lam, log_y, seed):
     assert _hex(form) == _hex(_signed_vector_form(model, z, seed))
 
 
+@given(
+    st.lists(st.integers(-128, 128), min_size=1, max_size=12, unique=True),
+    st.data(),
+    st.sampled_from([0.0, 1e-12, 1e-6, 0.1, 1.0, -1e-3]),
+)
+def test_the_form_is_the_identity_samples_trace_bit_for_bit(points, data, y):
+    # the form and the sample read one division, at real z between nodes too;
+    # nodes on a 1/64 grid and c <= 1 keep every c / (x - z) finite
+    nodes = sorted(p / 64 for p in points)
+    n = len(nodes)
+    masses, weights = (data.draw(st.lists(st.floats(lo, 1.0), min_size=n, max_size=n)) for lo in (1e-3, 0.0))
+    model = _model(nodes, masses, weights, data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    anywhere = st.floats(-3.0, 3.0, allow_subnormal=False)
+    between = [(a + b) / 2 for a, b in zip(nodes, nodes[1:])]
+    x = data.draw(st.sampled_from(between) | anywhere if between else anywhere)
+    assume(y or x not in nodes)
+    z = complex(x, y)
+    assert _hex(quadratic_form(model, z)) == _hex(sandwiched_resolvent(model, z).trace)
+
+
+@given(
+    st.integers(3, 30),
+    st.data(),
+    st.integers(0, 2**31 - 1),
+    st.floats(-0.9, 0.9),
+    st.floats(0.1, 2.0),
+    st.booleans(),
+)
+def test_the_eigen_term_is_its_dense_reference_bit_for_bit(n, data, seed, lam, mass, embedded):
+    measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(lam, mass),))
+    dim = data.draw(st.integers(1, n)) if embedded else mo.SAME
+    model = discretize(measure, PLATEAU, n, dim, seed=seed)
+    E, norm = eigen_contribution(model, lam)
+    v = np.where(model.atom_mask(lam), model.spectral_weights, 0.0)
+    J = model.embedding
+    ref = np.diag(v) if J is None else (J * v) @ J.conj().T
+    assert E.tobytes() == ref.tobytes() and E.shape == ref.shape
+    assert norm == (np.abs(v).max() if J is None else operator_norm(ref))
+
+
+def test_an_eigen_term_that_is_not_finite_is_refused():
+    # w^2 mu overflows to inf: the embedded product is not finite, and the
+    # norm is refused as operator_norm refuses it; the identity's is inf
+    kw = dict(masses=[1.0, 1.0], weights=[1e200, 1.0], flags=[True, False])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert eigen_contribution(_model([0.0, 0.5], **kw), 0.0)[1] == np.inf
+        with pytest.raises(ValueError, match="finite"):
+            eigen_contribution(_model([0.0, 0.5], embedding=np.array([[0.6, 0.8]]), **kw), 0.0)
+
+
 def test_quadratic_form_requires_the_identity():
     model = discretize(FLAT, PLATEAU, 20, 5, seed=1)
     with pytest.raises(ValueError, match="identity"):
@@ -554,13 +604,13 @@ def test_seeded_samples_match_dense_references(n, data, seed, lam, log_y):
 def test_embedded_probe_forms_one_product_per_rung(monkeypatch):
     measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.1, 0.7),))
     model = discretize(measure, PLATEAU, 40, 20, seed=3)
-    factored, calls = mo._factored, []
+    packaged, calls = mo._packaged, []
 
     def counted(J, v):
         calls.append(v.shape)
-        return factored(J, v)
+        return packaged(J, v)
 
-    monkeypatch.setattr(mo, "_factored", counted)
+    monkeypatch.setattr(mo, "_packaged", counted)
     sched = YSchedule(y_max=1e-2, y_min=1e-2 * 0.5**9, ratio=0.5)
     for ev in (lambda z: sandwiched_resolvent(model, z), lambda z: regularized_resolvent(model, z, 0.1)):
         calls.clear()
