@@ -5,9 +5,10 @@ on real nodes, the rigging factor is ``F = J diag(w_i sqrt(mu_i))`` with ``J``
 an isometric-row embedding (``None`` for the identity, otherwise an m x n
 matrix with orthonormal rows; ``discretize`` draws a seeded one).  The node,
 mass, weight and flag arrays plus ``J`` are the whole model; it also carries
-its spectral weights ``c_i = w_i^2 mu_i``, squared once when it is built.  A
-sample ``T_z = F (H - z)^{-1} F*`` is ``J diag(c_i / (x_i - z)) J*``, and no
-n x n array is ever formed for it.  One division gives ``c_i / (x_i - z)``
+its spectral weights ``c_i = w_i^2 mu_i``, squared once when it is built,
+and a model whose c_i is not finite is refused.  A sample
+``T_z = F (H - z)^{-1} F*`` is ``J diag(c_i / (x_i - z)) J*``, and no n x n
+array is ever formed for it.  One division gives ``c_i / (x_i - z)``
 to both samples (the regularized one divides only the kept nodes) and to
 ``quadratic_form``.  One product gives both samples and
 ``eigen_contribution`` the m x m matrix ``J diag(v) J*`` of an embedding,
@@ -93,7 +94,10 @@ class MatrixModel:
         for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        c = self.rigging_diagonal() ** 2
+        with np.errstate(over="ignore"):
+            c = self.rigging_diagonal() ** 2
+        if not np.isfinite(c).all():
+            raise ValueError("spectral weights w^2 mu must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "spectral_weights", c)
 
@@ -297,7 +301,8 @@ def eigen_contribution(model: MatrixModel, lam: float) -> tuple:
     if not np.any(mask):
         raise NoAtomAtLambda(f"no flagged atom node at lam={lam!r}")
     v = np.where(mask, model.spectral_weights, 0.0)
-    E, norm = _packaged(model.embedding, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # the NaN norm below refuses it
+        E, norm = _packaged(model.embedding, v)
     if math.isnan(norm):  # an embedded product that is not finite, as operator_norm refuses it
         raise ValueError("operator_norm requires finite entries")
     return np.diag(v) if E is None else E, norm

@@ -9,7 +9,10 @@ so w^2 rho can jump only at a support edge; whether it does at a probe point
 is the transform kernel's question.  Fitting a Holder exponent from a
 family's increments is a rate fit, and lives with the others in
 ``limit_analysis``.  The JSON form of a measure and a weight in a config file
-is read and written by ``cli``.
+is read and written by ``cli``.  Each kind is one entry of its catalog's
+table: its parameter names, each with its range (any finite value,
+nonnegative, positive, or in (0, 1]).  A parameter must be an int or a float
+in that range, and is kept as a float.
 
 Density catalog (``DensityFamily.kind``):
 
@@ -25,7 +28,7 @@ Density catalog (``DensityFamily.kind``):
 
 Weight catalog (``WeightFunction.kind``):
 
-``hat``          1 - |t|, kink at the center
+``hat``          1 - |t|, kink at the center: a power_hat of exponent 1
 ``cosine_bump``  cos(pi * t / 2)^2
 ``power_hat``    1 - |t|**exponent, exponent in (0, 1]; Holder exponent at the
                  center is exactly ``exponent``
@@ -44,11 +47,23 @@ import numpy as np
 
 __all__ = ["DensityFamily", "SpectralMeasure", "WeightFunction", "Atom"]
 
+# a parameter's range: a test of its finite value, and the phrase stating it
+_ANY = (math.isfinite, "be finite")
+_NONNEGATIVE = (lambda v: v >= 0.0, "be nonnegative")
+_POSITIVE = (lambda v: v > 0.0, "be positive")
+_UNIT = (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+
 _DENSITY_PARAMS = {
-    "constant": frozenset({"level"}),
-    "affine": frozenset({"level", "slope", "center"}),
-    "power_bump": frozenset({"level", "exponent", "center"}),
-    "smooth_bump": frozenset({"level", "center", "half_width"}),
+    "constant": {"level": _NONNEGATIVE},
+    "affine": {"level": _ANY, "slope": _ANY, "center": _ANY},
+    "power_bump": {"level": _NONNEGATIVE, "exponent": _UNIT, "center": _ANY},
+    "smooth_bump": {"level": _NONNEGATIVE, "center": _ANY, "half_width": _POSITIVE},
+}
+_WEIGHT_PARAMS = {
+    "hat": {"center": _ANY, "half_width": _POSITIVE},
+    "cosine_bump": {"center": _ANY, "half_width": _POSITIVE},
+    "power_hat": {"center": _ANY, "half_width": _POSITIVE, "exponent": _UNIT},
+    "plateau": {"center": _ANY, "half_width": _POSITIVE},
 }
 
 # a smooth_bump's shoulders, t = 1 - 2^-k from its centre toward either
@@ -56,29 +71,28 @@ _DENSITY_PARAMS = {
 # level, below rounding of the level, and at k = 6 it is not
 _SHOULDERS = tuple(1.0 - 0.5 ** k for k in range(1, 8))
 
-_WEIGHT_PARAMS = {
-    "hat": frozenset({"center", "half_width"}),
-    "cosine_bump": frozenset({"center", "half_width"}),
-    "power_hat": frozenset({"center", "half_width", "exponent"}),
-    "plateau": frozenset({"center", "half_width"}),
-}
-
 
 def _freeze_params(family, table: dict) -> None:
-    """Check a family's parameters against its kind, and keep them as a
-    read-only copy: a built family's value never changes, so the transform
-    kernel may reuse work keyed on it."""
-    kind, params = family.kind, MappingProxyType(dict(family.parameters))
+    """Check a family's parameters against its kind's entry in ``table``, each
+    a finite int or float in its range, and keep them as floats in a read-only
+    copy: a built family's value never changes, so the transform kernel may
+    reuse work keyed on it."""
+    kind, params = family.kind, dict(family.parameters)
     if kind not in table:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {sorted(table)}")
     expected = table[kind]
-    got = set(params)
-    if got != expected:
-        raise ValueError(f"{kind} expects parameters {sorted(expected)}, got {sorted(got)}")
+    if params.keys() != expected.keys():
+        raise ValueError(f"{kind} expects parameters {sorted(expected)}, got {sorted(params)}")
     for name, value in params.items():
-        if not math.isfinite(float(value)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{kind} parameter {name}={value!r} is not a number")
+        if not math.isfinite(value):
             raise ValueError(f"{kind} parameter {name}={value!r} is not finite")
-    object.__setattr__(family, "parameters", params)
+        admits, phrase = expected[name]
+        if not admits(value):
+            raise ValueError(f"{kind} {name} must {phrase}")
+        params[name] = float(value)
+    object.__setattr__(family, "parameters", MappingProxyType(params))
 
 
 class _Family:
@@ -100,15 +114,9 @@ class DensityFamily(_Family):
     def __post_init__(self):
         _freeze_params(self, _DENSITY_PARAMS)
         p = self.parameters
-        if self.kind in ("constant", "power_bump", "smooth_bump") and p["level"] < 0:
-            raise ValueError(f"{self.kind} level must be nonnegative")
-        if self.kind == "power_bump" and not 0.0 < p["exponent"] <= 1.0:
-            raise ValueError("power_bump exponent must lie in (0, 1]")
         if len(self.support) not in (0, 2):
             raise ValueError(f"support must be an interval [lo, hi], got {self.support}")
         if self.kind == "smooth_bump":
-            if p["half_width"] <= 0:
-                raise ValueError("smooth_bump half_width must be positive")
             natural = (p["center"] - p["half_width"], p["center"] + p["half_width"])
             support = natural if not self.support else (
                 max(self.support[0], natural[0]),
@@ -245,11 +253,6 @@ class WeightFunction(_Family):
 
     def __post_init__(self):
         _freeze_params(self, _WEIGHT_PARAMS)
-        p = self.parameters
-        if p["half_width"] <= 0:
-            raise ValueError("weight half_width must be positive")
-        if self.kind == "power_hat" and not 0.0 < p["exponent"] <= 1.0:
-            raise ValueError("power_hat exponent must lie in (0, 1]")
 
     @property
     def support(self) -> tuple:
@@ -265,17 +268,13 @@ class WeightFunction(_Family):
         # membership is decided on the stored support interval; the scaled
         # coordinate alone can round across the boundary by one ulp
         inside = (x >= lo) & (x <= hi)
-        if self.kind == "hat":
-            raw = np.maximum(1.0 - at, 0.0)
-            inside &= at < 1.0
-        elif self.kind == "cosine_bump":
+        if self.kind == "plateau":  # closed support, no endpoint vanishing
+            return np.where(inside, 1.0, 0.0)
+        inside &= at < 1.0
+        if self.kind == "cosine_bump":
             raw = np.cos(0.5 * np.pi * t) ** 2
-            inside &= at < 1.0
-        elif self.kind == "power_hat":
-            raw = np.maximum(1.0 - at ** self.parameters["exponent"], 0.0)
-            inside &= at < 1.0
-        else:  # plateau: closed support, no endpoint vanishing
-            raw = np.ones_like(x)
+        else:  # a hat is a power_hat of exponent 1
+            raw = np.maximum(1.0 - at ** self.parameters.get("exponent", 1.0), 0.0)
         return np.where(inside, raw, 0.0)
 
     def breakpoints(self) -> tuple:

@@ -8,7 +8,11 @@ residuals were rewritten when every line fit became one closed form; no
 sample or verdict moved.  It holds ``float.hex`` of every float, so signed
 zeros and the last bit count.  The seeded case forms its m x m products with
 BLAS and takes their norms with LAPACK, so its bits belong to one BLAS build.
-To print the record the current code gives:
+An identity sample's shadow is the finite sum of c_i / (x_i - z) with
+c_i = w_i^2 mu_i, so each identity shadow in the record is also checked
+against that sum computed exactly, in fractions, from the model's float
+inputs: a kept reference for a change that moves these bits.  To print the
+record the current code gives:
 
     PYTHONPATH=src python tests/test_matrix_golden.py
 """
@@ -16,7 +20,11 @@ To print the record the current code gives:
 import hashlib
 import json
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 import resolvent_limits.matrix_oracle as mo
 from resolvent_limits import Atom, DensityFamily, SpectralMeasure, WeightFunction, YSchedule, limit_probe
@@ -93,6 +101,41 @@ def record() -> dict:
 
 def test_matrix_probes_reproduce_the_record():
     assert record() == json.loads(RECORD.read_text())
+
+
+def _exact_error(model, keep, z: complex, shadow: complex) -> float:
+    """|shadow - sum c_i / (x_i - z)| over the kept nodes, the sum exact, in
+    units of eps * sum |c_i / (x_i - z)|."""
+    a, b = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    scale = 0.0
+    for x, w, mu in zip(model.nodes[keep], model.weights[keep], model.masses[keep]):
+        dx = Fraction(x) - a
+        q = Fraction(w) ** 2 * Fraction(mu) / (dx * dx + b * b)  # c / |x - z|^2
+        re += q * dx
+        im += q * b
+        scale += float(q) * math.hypot(dx, b)
+    return math.hypot(Fraction(shadow.real) - re, Fraction(shadow.imag) - im) / (sys.float_info.epsilon * scale)
+
+
+def test_identity_shadows_are_the_exact_sums_within_rounding():
+    doc = json.loads(RECORD.read_text())
+    checks = []  # (model, kept nodes, z, shadow)
+    for name, (n, embedding_dim, _, regularize) in PROBES.items():
+        if embedding_dim != mo.SAME:
+            continue
+        model = mo.discretize(MEASURE, WEIGHT, n)
+        keep = ~model.atom_mask(LAM) if regularize else np.ones(model.size, bool)
+        for y, shadow, *_ in doc[name]["samples"]:
+            checks.append((model, keep, complex(LAM, float.fromhex(y)), complex(*map(float.fromhex, shadow))))
+    at_lam = doc["identity-reg-n201-at-lam"]
+    model = mo.discretize(MEASURE, WEIGHT, 201)
+    z, trace = (complex(*map(float.fromhex, at_lam[key])) for key in ("z", "trace"))
+    checks.append((model, ~model.atom_mask(LAM), z, trace))
+    assert len(checks) == 5 * 14 + 1
+    # c_i, the division and the sum each round; the sum's error grows with log2 n
+    for model, keep, z, shadow in checks:
+        assert _exact_error(model, keep, z, shadow) <= 3 + math.log2(model.size)
 
 
 if __name__ == "__main__":

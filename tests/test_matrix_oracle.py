@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -481,13 +483,16 @@ def test_the_eigen_term_is_its_dense_reference_bit_for_bit(n, data, seed, lam, m
 
 
 def test_an_eigen_term_that_is_not_finite_is_refused():
-    # w^2 mu overflows to inf: the embedded product is not finite, and the
-    # norm is refused as operator_norm refuses it; the identity's is inf
-    kw = dict(masses=[1.0, 1.0], weights=[1e200, 1.0], flags=[True, False])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert eigen_contribution(_model([0.0, 0.5], **kw), 0.0)[1] == np.inf
-        with pytest.raises(ValueError, match="finite"):
-            eigen_contribution(_model([0.0, 0.5], embedding=np.array([[0.6, 0.8]]), **kw), 0.0)
+    # w^2 mu overflows to inf: the model is refused when it is built
+    with pytest.raises(ValueError, match="w\\^2 mu must be finite"):
+        _model([0.0, 0.5], masses=[1.0, 1.0], weights=[1e200, 1.0], flags=[True, False])
+    # each c is finite, but the embedded product J diag(c) J* overflows: the
+    # norm is refused as operator_norm refuses it, with no numpy warning
+    root = math.sqrt(sys.float_info.max)
+    model = _model([0.0, 0.0], weights=[root, root], flags=[True, True], embedding=np.array([[0.5**0.5, 0.5**0.5]]))
+    assert np.isfinite(model.spectral_weights).all()
+    with pytest.raises(ValueError, match="operator_norm requires finite entries"):
+        eigen_contribution(model, 0.0)
 
 
 def test_quadratic_form_requires_the_identity():

@@ -222,6 +222,68 @@ def test_validation_errors():
         SpectralMeasure(atoms=(Atom(0.0, 1.0), Atom(0.0, 2.0)))
 
 
+# a valid parameter set of every catalog kind
+CATALOG = {
+    "constant": {"level": 1.0},
+    "affine": {"level": 1.0, "slope": 0.5, "center": 0.0},
+    "power_bump": {"level": 1.0, "exponent": 0.5, "center": 0.0},
+    "smooth_bump": {"level": 1.0, "center": 0.0, "half_width": 1.0},
+    "hat": {"center": 0.0, "half_width": 1.0},
+    "cosine_bump": {"center": 0.0, "half_width": 1.0},
+    "power_hat": {"center": 0.0, "half_width": 1.0, "exponent": 0.5},
+    "plateau": {"center": 0.0, "half_width": 1.0},
+}
+
+
+def _family(kind, params):
+    if kind in ("constant", "affine", "power_bump", "smooth_bump"):
+        return DensityFamily(kind, params, (-1.0, 1.0))
+    return WeightFunction(kind, params)
+
+
+@pytest.mark.parametrize(
+    "kind,name,value",
+    [
+        # each ranged parameter just outside its range
+        ("constant", "level", -1e-300),
+        ("power_bump", "level", -1e-300),
+        ("power_bump", "exponent", 0.0),
+        ("power_bump", "exponent", 1.0 + 2.0**-52),
+        ("smooth_bump", "level", -1e-300),
+        ("smooth_bump", "half_width", 0.0),
+        ("smooth_bump", "half_width", -0.0),
+        ("hat", "half_width", 0.0),
+        ("hat", "half_width", -0.0),
+        ("cosine_bump", "half_width", 0.0),
+        ("power_hat", "half_width", -0.0),
+        ("power_hat", "exponent", 0.0),
+        ("power_hat", "exponent", 1.0 + 2.0**-52),
+        ("plateau", "half_width", 0.0),
+        # values that are not finite numbers, as the config reader refuses them
+        ("affine", "level", "1"),
+        ("constant", "level", "1"),
+        ("hat", "center", "0"),
+        ("power_hat", "exponent", None),
+        ("plateau", "half_width", True),
+        ("affine", "slope", math.nan),
+        ("cosine_bump", "center", -math.inf),
+    ],
+)
+def test_a_parameter_outside_its_range_is_refused_by_kind_and_name(kind, name, value):
+    with pytest.raises(ValueError, match=rf"^{kind} (parameter )?{name}\b"):
+        _family(kind, {**CATALOG[kind], name: value})
+
+
+@given(st.floats(-2.0, 2.0), st.floats(0.01, 2.0), st.lists(st.floats(-5.0, 5.0), max_size=8))
+def test_a_hat_is_a_power_hat_of_exponent_one_bit_for_bit(center, half_width, xs):
+    hat = WeightFunction("hat", {"center": center, "half_width": half_width})
+    power = WeightFunction("power_hat", {"center": center, "half_width": half_width, "exponent": 1.0})
+    # random points, and each support edge and the centre with the floats beside them
+    edges = (center, *hat.support)
+    points = np.array(xs + [np.nextafter(e, toward) for e in edges for toward in (-np.inf, e, np.inf)])
+    assert hat.values(points).tobytes() == power.values(points).tobytes()
+
+
 def test_smooth_bump_vanishes_smoothly_at_edges():
     f = DensityFamily("smooth_bump", {"level": 1.0, "center": 0.0, "half_width": 1.0})
     assert f(1.0) == 0.0
@@ -241,3 +303,6 @@ def test_parameters_are_a_read_only_copy():
     for family in (part, weight):
         with pytest.raises(TypeError):
             family.parameters["level"] = 2.0
+    # an int and a numpy float are numbers, kept as floats
+    hat = WeightFunction("hat", {"center": np.float64(0.25), "half_width": 1})
+    assert [type(v) for v in hat.parameters.values()] == [float, float]
