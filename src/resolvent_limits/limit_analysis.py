@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -85,7 +86,9 @@ class YSchedule:
             raise ValueError("ratio must lie in (0, 1)")
         if not (0 < self.y_min <= self.y_max):
             raise ValueError("need 0 < y_min <= y_max")
-        if not math.isfinite(self.y_max):  # the ladder from an infinite y_max never ends
+        # the ladder from an infinite y_max never ends, and an int beyond the
+        # float range, which math.isfinite cannot convert, is refused alike
+        if not self.y_max <= sys.float_info.max:
             raise ValueError(f"y_max must be finite, got {self.y_max!r}")
         values = []
         y = float(self.y_max)

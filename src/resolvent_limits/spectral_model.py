@@ -40,6 +40,7 @@ Weight catalog (``WeightFunction.kind``):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -72,6 +73,12 @@ _WEIGHT_PARAMS = {
 _SHOULDERS = tuple(1.0 - 0.5 ** k for k in range(1, 8))
 
 
+def _finite(value) -> bool:
+    """Whether an int or a float is finite: False for NaN, an infinity and an
+    int beyond the float range, which ``math.isfinite`` cannot convert."""
+    return abs(value) <= sys.float_info.max
+
+
 def _freeze_params(family, table: dict) -> None:
     """Check a family's parameters against its kind's entry in ``table``, each
     a finite int or float in its range, and keep them as floats in a read-only
@@ -86,7 +93,7 @@ def _freeze_params(family, table: dict) -> None:
     for name, value in params.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{kind} parameter {name}={value!r} is not a number")
-        if not math.isfinite(value):
+        if not _finite(value):
             raise ValueError(f"{kind} parameter {name}={value!r} is not finite")
         admits, phrase = expected[name]
         if not admits(value):
@@ -122,13 +129,13 @@ class DensityFamily(_Family):
                 max(self.support[0], natural[0]),
                 min(self.support[1], natural[1]),
             )
-            object.__setattr__(self, "support", (float(support[0]), float(support[1])))
+            object.__setattr__(self, "support", support)
         if not self.support:
             raise ValueError(f"{self.kind} requires an explicit support interval")
-        lo, hi = (float(v) for v in self.support)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        lo, hi = self.support
+        if not (_finite(lo) and _finite(hi) and lo < hi):
             raise ValueError(f"support must be a finite interval with lo < hi, got {self.support}")
-        object.__setattr__(self, "support", (lo, hi))
+        object.__setattr__(self, "support", (float(lo), float(hi)))
 
     def values(self, x) -> np.ndarray:
         """Vectorized evaluation; zero outside the support."""
@@ -187,9 +194,9 @@ class Atom:
     mass: float
 
     def __post_init__(self):
-        if not math.isfinite(self.location):
+        if not _finite(self.location):
             raise ValueError("atom location must be finite")
-        if not (math.isfinite(self.mass) and self.mass > 0):
+        if not (_finite(self.mass) and self.mass > 0):
             raise ValueError("atom mass must be strictly positive")
 
 

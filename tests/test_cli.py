@@ -86,6 +86,15 @@ def write_config(path, **overrides):
     return path
 
 
+def strict_json(path):
+    """A JSON file's value, refusing the NaN and Infinity tokens that strict JSON has not."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_probe_limit_converges_exit_zero(tmp_path):
     cfg = write_config(tmp_path / "c.json", tolerances={"convergence": 1e-4})
     out = tmp_path / "out"
@@ -287,6 +296,19 @@ def test_stone_density_outputs(tmp_path):
     assert main(["stone-density", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "t_stone_summary.json").read_text())
     assert abs(summary["extrapolated"] - summary["catalog_reference"]) < 1e-4
+
+
+def test_stone_density_config_on_a_ladder_below_1e_162(tmp_path, capsys):
+    # below about 1e-162 the squares of the ladder's y underflow to 0; the fit
+    # still reads the catalog density
+    raw = json.loads((ROOT / "configs" / "stone_density.json").read_text())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(raw, schedule={"y_max": 1e-170, "y_min": 1e-180, "ratio": 0.5})))
+    out = tmp_path / "out"
+    assert main(["stone-density", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = strict_json(out / "stone_stone_summary.json")
+    assert abs(summary["extrapolated"] - summary["catalog_reference"]) <= 1e-12
 
 
 def test_stone_density_writes_each_rung_im_c(tmp_path):
@@ -503,6 +525,22 @@ def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path, capsys):
         assert captured.out == "" and not out.exists()
 
 
+def test_a_transform_ladder_into_subnormal_y_writes_every_rung(tmp_path, capsys):
+    # at a power-bump cusp the node on Re z keeps its zero term at subnormal
+    # y, so every rung is finite and the report is strict JSON; the verdict is
+    # not pinned (most rungs miss the 1e-10 quadrature target at the cusp)
+    bump = {"kind": "power_bump", "parameters": {"level": 1.0, "exponent": 0.5, "center": 0.3}, "support": [-1.0, 1.0]}
+    weight = {"kind": "plateau", "parameters": {"center": 0.0, "half_width": 2.0}}
+    cfg = write_config(
+        tmp_path / "c.json", measure={"ac_parts": [bump]}, weight=weight, schedule=SUBNORMAL_LADDER, **{"lambda": 0.3}
+    )
+    out = tmp_path / "out"
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    report = strict_json(out / "t_limit_report.json")
+    assert len(report["samples"]) == 1057
+
+
 ATOM_ONLY_LADDER = {
     "measure": {"atoms": [{"location": 0.0, "mass": 1.0}]},
     "weight": PLATEAU_WEIGHT,
@@ -543,12 +581,16 @@ CONFIG_TEXT_ERRORS = {
 
 
 @pytest.mark.parametrize("text, message", CONFIG_TEXT_ERRORS.values(), ids=CONFIG_TEXT_ERRORS)
-def test_config_text_errors(tmp_path, text, message):
+def test_config_text_errors(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.json"
     cfg.write_text(text % json.dumps(PLATEAU_WEIGHT))
     with pytest.raises(ConfigError) as excinfo:
         load_config(cfg)
     assert str(excinfo.value) == message
+    out = tmp_path / "out"
+    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_a_document_json_cannot_hold_is_written_nowhere(tmp_path, monkeypatch, capsys):
@@ -658,6 +700,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         ("atom", {"measure": {**FLAT_MEASURE, "atom": []}}),
         ("suport", {"weight": {**PLATEAU_WEIGHT, "suport": [-1.0, 1.0]}}),
         ("support", {"measure": {"ac_parts": [SMOOTH_BUMP_THREE_EDGES]}}),
+        ("hat half_width must be positive", {"weight": {"kind": "hat", "parameters": {"center": 0.0, "half_width": 0.0}}}),
         *[(f"tolerances {k} must be a finite number", {"tolerances": {k: float(v)}}) for k, v in NON_FINITE_TOLERANCES],
     ],
     ids=[
@@ -668,7 +711,7 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         "prefix-lone-surrogate",
         "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
         "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
-        "weight-suport-typo", "support-three-edges", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
+        "weight-suport-typo", "support-three-edges", "hat-half_width-zero", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
     ],
 )
 def test_config_types_are_exact(tmp_path, key, overrides):

@@ -72,9 +72,11 @@ def test_schedule_validation():
 
 
 def test_schedule_rejects_an_infinite_y_max():
-    # the ladder from inf never reaches y_min, so building its values would never end
-    with pytest.raises(ValueError, match="y_max must be finite"):
-        YSchedule(y_max=math.inf)
+    # the ladder from inf never reaches y_min, so building its values would never
+    # end; an int beyond the float range is refused alike, not by OverflowError
+    for y_max in math.inf, 10**400:
+        with pytest.raises(ValueError, match="y_max must be finite"):
+            YSchedule(y_max=y_max)
 
 
 def test_schedule_rejects_an_overlong_ladder():

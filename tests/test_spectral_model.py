@@ -218,6 +218,13 @@ def test_validation_errors():
         WeightFunction("hat", {"center": 0.0, "half_width": -1.0})
     with pytest.raises(ValueError):
         Atom(0.0, 0.0)
+    # an int beyond the float range is refused as an infinity is, not by OverflowError
+    with pytest.raises(ValueError, match="support"):
+        DensityFamily("constant", {"level": 1.0}, (-1.0, 10**400))
+    with pytest.raises(ValueError, match="atom location"):
+        Atom(10**400, 1.0)
+    with pytest.raises(ValueError, match="atom mass"):
+        Atom(0.0, 10**400)
     with pytest.raises(ValueError):
         SpectralMeasure(atoms=(Atom(0.0, 1.0), Atom(0.0, 2.0)))
 
@@ -267,6 +274,9 @@ def _family(kind, params):
         ("plateau", "half_width", True),
         ("affine", "slope", math.nan),
         ("cosine_bump", "center", -math.inf),
+        # an int beyond the float range, which math.isfinite cannot convert
+        pytest.param("constant", "level", 10**400, id="constant-level-huge-int"),
+        pytest.param("hat", "center", 10**400, id="hat-center-huge-int"),
     ],
 )
 def test_a_parameter_outside_its_range_is_refused_by_kind_and_name(kind, name, value):
