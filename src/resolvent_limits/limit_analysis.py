@@ -238,6 +238,8 @@ def fit_divergence_rate(norms: Sequence[float], ys: Sequence[float]) -> tuple:
     ys = np.asarray(ys, dtype=float)
     if norms.size != ys.size or norms.size < 4:
         raise ValueError("need equal-length inputs with at least 4 samples")
+    if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(ys))):
+        raise ValueError("norms and ys must be finite")
     if np.any(norms <= 0) or np.any(ys <= 0):
         raise ValueError("norms and ys must be positive")
     if np.all(norms == norms[0]):
@@ -341,8 +343,8 @@ class HolderEstimate(NamedTuple):
 
 def geometric_radii(r_max: float, ratio: float, count: int) -> tuple:
     """Strictly decreasing geometric radius ladder for estimate_holder."""
-    if not (0 < ratio < 1 and r_max > 0 and count >= 1):
-        raise ValueError("need r_max > 0, 0 < ratio < 1, count >= 1")
+    if not (0 < ratio < 1 and 0 < r_max <= sys.float_info.max and count >= 1):
+        raise ValueError("need a finite r_max > 0, 0 < ratio < 1, count >= 1")
     return tuple(r_max * ratio ** k for k in range(count))
 
 
@@ -366,12 +368,14 @@ def estimate_holder(lam: float, radii: Sequence[float], increments: Sequence[flo
     radii = [float(r) for r in radii]
     if len(radii) < 8:
         raise ValueError("need at least 8 radii")
-    if not (all(r > 0 for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
-        raise ValueError("radii must be positive and strictly decreasing")
+    if not (all(0 < r <= sys.float_info.max for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
+        raise ValueError("radii must be positive, finite and strictly decreasing")
 
     incs = np.asarray(increments, dtype=float)
     if incs.shape != (len(radii),):
         raise ValueError(f"need one increment per radius, got {incs.shape} for {len(radii)} radii")
+    if not np.all(np.isfinite(incs)):
+        raise ValueError("increments must be finite")
     zero = incs == 0.0
     if np.count_nonzero(zero) > len(radii) / 2:
         raise DegenerateFit(f"{np.count_nonzero(zero)} of {len(radii)} increments vanish at lam={lam}")

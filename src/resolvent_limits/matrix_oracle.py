@@ -168,6 +168,11 @@ def _seeded_embedding(m: int, n: int, seed: int) -> np.ndarray:
     return q.T.copy()
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def discretize(
     measure: SpectralMeasure,
     weight: WeightFunction,
@@ -181,10 +186,13 @@ def discretize(
     ``mu_i = rho(x_i) * dx`` (total-mass error O(1/n^2) for smooth catalog
     densities); atoms become flagged nodes carrying their exact coordinate and
     mass.  Zero-mass density nodes are pruned.  ``embedding_dim=SAME`` keeps
-    the identity embedding; an integer m with 1 <= m <= node count selects the
-    first m rows of a seeded orthonormal matrix, and any other m raises
-    ValueError.
+    the identity embedding; an integer m (an int or a numpy integer) with
+    1 <= m <= node count selects the first m rows of a seeded orthonormal
+    matrix, and any other m raises ValueError, as does an ``n`` that is not
+    an integer.
     """
+    if not _integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
     atoms = measure.atoms
     required = len(atoms) + (max(2, len(measure.ac_parts)) if measure.ac_parts else 0)
@@ -233,10 +241,9 @@ def discretize(
 
     J = None
     if embedding_dim != SAME:
-        m = int(embedding_dim)
-        if not 1 <= m <= nodes.size:
-            raise ValueError(f"embedding_dim must lie in [1, {nodes.size}], got {m}")
-        J = _seeded_embedding(m, nodes.size, seed)
+        if not (_integer(embedding_dim) and 1 <= embedding_dim <= nodes.size):
+            raise ValueError(f"embedding_dim must be {SAME!r} or an integer in [1, {nodes.size}], got {embedding_dim!r}")
+        J = _seeded_embedding(int(embedding_dim), nodes.size, seed)
     return MatrixModel(nodes=nodes, masses=mus, weights=weight.values(nodes), atom_flags=flags, embedding=J)
 
 

@@ -196,7 +196,9 @@ class Atom:
     def __post_init__(self):
         if not _finite(self.location):
             raise ValueError("atom location must be finite")
-        if not (_finite(self.mass) and self.mass > 0):
+        if not _finite(self.mass):
+            raise ValueError("atom mass must be finite")
+        if not self.mass > 0:
             raise ValueError("atom mass must be strictly positive")
 
 

@@ -1,9 +1,9 @@
 import contextlib
-import hashlib
 import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import resolvent_limits
 from resolvent_limits import (
-    SAME,
     DensityFamily,
     SpectralMeasure,
     WeightFunction,
@@ -40,32 +39,26 @@ from resolvent_limits.cli import (
 from resolvent_limits.errors import ConfigError
 
 from conftest import spectral_measures, weight_functions
-
-FLAT_MEASURE = {
-    "ac_parts": [{"kind": "constant", "parameters": {"level": 1.0}, "support": [-1.0, 1.0]}],
-    "atoms": [],
-}
-PLATEAU_WEIGHT = {"kind": "plateau", "parameters": {"center": 0.0, "half_width": 1.0}}
-ATOM_MEASURE = {
-    "ac_parts": [{"kind": "constant", "parameters": {"level": 0.005}, "support": [-1.0, 1.0]}],
-    "atoms": [{"location": 0.0, "mass": 1.0}],
-}
-
-
-def constant_part(level=1.0, support=(-1.0, 1.0), parameters=None):
-    return {"kind": "constant", "parameters": parameters or {"level": level}, "support": list(support)}
-
-
-SMOOTH_BUMP_THREE_EDGES = {
-    "kind": "smooth_bump",
-    "parameters": {"level": 1.0, "center": 0.0, "half_width": 1.0},
-    "support": [-0.5, 0.0, 0.5],
-}
-
+from console_cases import (
+    ATOM_MEASURE,
+    BASE,
+    CLI,
+    CONFIG_TEXT_ERRORS,
+    FLAT_MEASURE,
+    MALFORMED_MEASURE_OR_WEIGHT,
+    PLATEAU_WEIGHT,
+    ROWS,
+    SHIPPED,
+    TYPE_ERRORS,
+    command,
+    config_path,
+    constant_part,
+    digests,
+    fault,
+)
 
 COMMANDS = ["probe-limit", "compare-oracle", "compactness", "stone-density", "holder-fit"]
 TOLERANCE_KEYS = ["quadrature_abs", "convergence", "oracle_rel_gap"]
-NON_FINITE_TOLERANCES = [(k, v) for k in TOLERANCE_KEYS for v in ("nan", "inf", "-inf")]
 
 ROOT = Path(__file__).resolve().parents[1]
 # the child processes import the same checkout as this process
@@ -74,25 +67,8 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.en
 
 
 def write_config(path, **overrides):
-    cfg = {
-        "measure": FLAT_MEASURE,
-        "weight": PLATEAU_WEIGHT,
-        "lambda": 0.0,
-        "schedule": {"y_max": 0.1, "y_min": 1e-5, "ratio": 0.5},
-        "output_prefix": "t",
-    }
-    cfg.update(overrides)
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**BASE, **overrides}))
     return path
-
-
-def strict_json(path):
-    """A JSON file's value, refusing the NaN and Infinity tokens that strict JSON has not."""
-
-    def refuse(token):
-        raise ValueError(f"{token} is not JSON")
-
-    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_probe_limit_converges_exit_zero(tmp_path):
@@ -298,19 +274,6 @@ def test_stone_density_outputs(tmp_path):
     assert abs(summary["extrapolated"] - summary["catalog_reference"]) < 1e-4
 
 
-def test_stone_density_config_on_a_ladder_below_1e_162(tmp_path, capsys):
-    # below about 1e-162 the squares of the ladder's y underflow to 0; the fit
-    # still reads the catalog density
-    raw = json.loads((ROOT / "configs" / "stone_density.json").read_text())
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(dict(raw, schedule={"y_max": 1e-170, "y_min": 1e-180, "ratio": 0.5})))
-    out = tmp_path / "out"
-    assert main(["stone-density", "--config", str(cfg), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    summary = strict_json(out / "stone_stone_summary.json")
-    assert abs(summary["extrapolated"] - summary["catalog_reference"]) <= 1e-12
-
-
 def test_stone_density_writes_each_rung_im_c(tmp_path):
     # (Im C / pi) * pi is not Im C: on this ladder 10 of its 17 rungs differ
     # from it by an ulp
@@ -502,97 +465,6 @@ def test_console_entry_point(tmp_path):
     assert "verdict=CONVERGES" in proc.stdout
 
 
-# the one stderr line of a ladder refused at its first rung that is not
-# finite: no numpy warning comes before it
-NOT_FINITE_LINE = re.compile(r"error: evaluator failed at y=[^:]+: FloatingPointError\('sample is not finite: [^\n]*'\)\n")
-SUBNORMAL_LADDER = {"y_max": 0.01, "y_min": 1e-320, "ratio": 0.5}
-
-
-def test_a_report_json_cannot_hold_is_written_nowhere(tmp_path, capsys):
-    # at the subnormal rungs c/(x - z) overflows on the atom node, and the report
-    # would hold NaN and Infinity: the probe refuses the first rung that is not
-    # finite, with the same refusal for the identity model and the embedded
-    # one, and with no numpy warning, which pytest would turn into an error
-    raw = json.loads((ROOT / "configs" / "probe_limit_atom.json").read_text())
-    for embedding_dim in (SAME, 6):
-        cfg = tmp_path / f"c-{embedding_dim}.json"
-        discretization = {"n": 13, "embedding_dim": embedding_dim}
-        cfg.write_text(json.dumps(dict(raw, schedule=SUBNORMAL_LADDER, discretization=discretization)))
-        out = tmp_path / f"out-{embedding_dim}"
-        assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert NOT_FINITE_LINE.fullmatch(captured.err), captured.err
-        assert captured.out == "" and not out.exists()
-
-
-def test_a_transform_ladder_into_subnormal_y_writes_every_rung(tmp_path, capsys):
-    # at a power-bump cusp the node on Re z keeps its zero term at subnormal
-    # y, so every rung is finite and the report is strict JSON; the verdict is
-    # not pinned (most rungs miss the 1e-10 quadrature target at the cusp)
-    bump = {"kind": "power_bump", "parameters": {"level": 1.0, "exponent": 0.5, "center": 0.3}, "support": [-1.0, 1.0]}
-    weight = {"kind": "plateau", "parameters": {"center": 0.0, "half_width": 2.0}}
-    cfg = write_config(
-        tmp_path / "c.json", measure={"ac_parts": [bump]}, weight=weight, schedule=SUBNORMAL_LADDER, **{"lambda": 0.3}
-    )
-    out = tmp_path / "out"
-    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) in (0, 2)
-    assert capsys.readouterr().err == ""
-    report = strict_json(out / "t_limit_report.json")
-    assert len(report["samples"]) == 1057
-
-
-ATOM_ONLY_LADDER = {
-    "measure": {"atoms": [{"location": 0.0, "mass": 1.0}]},
-    "weight": PLATEAU_WEIGHT,
-    "lambda": 0.0,
-    "schedule": {"y_max": 1e-300, "y_min": 1e-320, "ratio": 0.5},
-}
-ORACLE_AT_ITS_ATOM = {"lambda": 0.7, "schedule": {"y_max": 0.1, "y_min": 1e-320, "ratio": 0.5}}
-
-
-@pytest.mark.parametrize(
-    "config", [ATOM_ONLY_LADDER, ORACLE_AT_ITS_ATOM], ids=["atom-only-no-floor", "shipped-config-at-its-atom"]
-)
-def test_compare_oracle_refuses_a_sample_that_is_not_finite(tmp_path, capsys, config):
-    # below y ~ 1e-308 the form's c/(x - z) overflows on the atom node and its
-    # relative gap is NaN, which max() over the checked rows used to drop: the
-    # run passed with every row checked (no floor) or with those rows SKIPPED
-    raw = json.loads((ROOT / "configs" / "compare_oracle.json").read_text())
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({**raw, **config}))
-    out = tmp_path / "out"
-    assert main(["compare-oracle", "--config", str(cfg), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert NOT_FINITE_LINE.fullmatch(captured.err), captured.err
-    assert captured.out == "" and not out.exists()
-
-
-CONFIG_TEXT_ERRORS = {
-    "top-level-key-twice": (
-        '{"measure": {"atoms": []}, "weight": %s, "lambda": 0.0, "lambda": 0.3}',
-        "config names 'lambda' more than once in one object",
-    ),
-    "parameters-key-twice": (
-        '{"measure": {"ac_parts": [{"kind": "constant", "parameters": {"level": 1.0, "level": 2.0}}]}, "weight": %s}',
-        "config names 'level' more than once in one object",
-    ),
-    "measure-missing": ('{"weight": %s}', "config is missing key 'measure'"),
-}
-
-
-@pytest.mark.parametrize("text, message", CONFIG_TEXT_ERRORS.values(), ids=CONFIG_TEXT_ERRORS)
-def test_config_text_errors(tmp_path, capsys, text, message):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(text % json.dumps(PLATEAU_WEIGHT))
-    with pytest.raises(ConfigError) as excinfo:
-        load_config(cfg)
-    assert str(excinfo.value) == message
-    out = tmp_path / "out"
-    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
 def test_a_document_json_cannot_hold_is_written_nowhere(tmp_path, monkeypatch, capsys):
     # the first output renders; the second holds NaN, so neither is written
     command = lambda cfg: ("summary", 0, {"good.json": {"x": 1.0}, "bad.json": {"x": math.nan}})
@@ -657,176 +529,27 @@ def test_tolerance_flag_must_be_positive(tmp_path, capsys, command, value):
         assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "key, overrides",
-    [
-        ("regularize", {"regularize": "false"}),
-        ("regularize", {"regularize": 0}),
-        ("n", {"discretization": {"n": 13.9}}),
-        ("n", {"discretization": {"n": True}}),
-        ("n", {"discretization": {"n": "13"}}),
-        ("seed", {"seed": 0.5}),
-        ("holder count", {"holder": {"count": 10.0}}),
-        ("lambda", {"lambda": "0.3"}),
-        ("lambda", {"lambda": True}),
-        ("lambda", {"lambda": float("nan")}),
-        ("lambda", {"lambda": 10**400}),
-        ("schedule y_min", {"schedule": {"y_max": 0.1, "y_min": float("-inf"), "ratio": 0.5}}),
-        ("schedule ratio", {"schedule": {"y_max": 0.1, "y_min": 1e-5, "ratio": "0.5"}}),
-        ("tolerances convergence", {"tolerances": {"convergence": "1e-4"}}),
-        ("compactness s", {"compactness": {"s": False}}),
-        ("compactness radii", {"compactness": {"s": 1.0, "radii": [0.5, "1"]}}),
-        ("compactness radii must be a JSON array", {"compactness": {"radii": "12"}}),
-        ("holder point", {"holder": {"point": float("nan")}}),
-        ("holder r_max", {"holder": {"r_max": float("inf")}}),
-        ("holder ratio", {"holder": {"ratio": None}}),
-        ("output_prefix", {"output_prefix": 5}),
-        ("output_prefix must be a file name prefix", {"output_prefix": "../escaped"}),
-        ("output_prefix must be a file name prefix", {"output_prefix": "sub/x"}),
-        ("output_prefix must be a file name prefix with no path separator or NUL", {"output_prefix": "a\0b"}),
-        ("output_prefix must take at most 229 UTF-8 bytes, got 234", {"output_prefix": "a" * 234}),
-        ("output_prefix must take at most 229 UTF-8 bytes, got 230", {"output_prefix": "é" * 115}),
-        ("output_prefix must be UTF-8 text", {"output_prefix": "\ud800"}),
-        ("level", {"measure": {"ac_parts": [constant_part(level="1.0")]}}),
-        ("level", {"measure": {"ac_parts": [constant_part(level=True)]}}),
-        ("support", {"measure": {"ac_parts": [constant_part(support=("-1", True))]}}),
-        ("half_width", {"weight": {"kind": "plateau", "parameters": {"center": 0.0, "half_width": "1"}}}),
-        ("support", {"weight": {**PLATEAU_WEIGHT, "support": [-1.0, True]}}),
-        ("location", {"measure": {"atoms": [{"location": "0.5", "mass": 1.0}]}}),
-        ("mass", {"measure": {"atoms": [{"location": 0.5, "mass": True}]}}),
-        ("measure", {"measure": 5}),
-        ("weight", {"weight": [PLATEAU_WEIGHT]}),
-        ("parameters", {"measure": {"ac_parts": [constant_part(parameters=[1])]}}),
-        ("atom", {"measure": {**FLAT_MEASURE, "atom": []}}),
-        ("suport", {"weight": {**PLATEAU_WEIGHT, "suport": [-1.0, 1.0]}}),
-        ("support", {"measure": {"ac_parts": [SMOOTH_BUMP_THREE_EDGES]}}),
-        ("hat half_width must be positive", {"weight": {"kind": "hat", "parameters": {"center": 0.0, "half_width": 0.0}}}),
-        *[(f"tolerances {k} must be a finite number", {"tolerances": {k: float(v)}}) for k, v in NON_FINITE_TOLERANCES],
-    ],
-    ids=[
-        "regularize-string", "regularize-zero", "n-float", "n-bool", "n-string", "seed-float", "count-float",
-        "lambda-string", "lambda-bool", "lambda-nan", "lambda-huge-int", "y_min-inf", "ratio-string",
-        "convergence-string", "s-bool", "radii-string", "radii-not-array", "point-nan", "r_max-inf", "ratio-null", "prefix-int",
-        "prefix-parent-dir", "prefix-subdir", "prefix-nul", "prefix-too-long", "prefix-too-long-utf8",
-        "prefix-lone-surrogate",
-        "level-string", "level-bool", "support-string-bool", "half_width-string", "weight-support-bool",
-        "location-string", "mass-bool", "measure-int", "weight-list", "parameters-list", "measure-atom-typo",
-        "weight-suport-typo", "support-three-edges", "hat-half_width-zero", *[f"{k}-{v}" for k, v in NON_FINITE_TOLERANCES],
-    ],
-)
-def test_config_types_are_exact(tmp_path, key, overrides):
-    # a string "false" used to run a regularized probe, 13.9 became n = 13,
-    # "0.3" became lambda = 0.3, and lambda = NaN ran a probe on NaN; a
-    # measure level "1.0" or true loaded as 1.0, "measure": 5 escaped as an
-    # AttributeError, a misspelt "atom" key was ignored, a smooth_bump
-    # support of three edges loaded as its first two, an output_prefix
-    # "../escaped" wrote its files beside the output directory, one of 234
-    # bytes wrote one output before the next name overran 255 bytes, and a
-    # lone surrogate failed to encode with a message that named no key
-    cfg = write_config(tmp_path / "c.json", **{"measure": ATOM_MEASURE, "evaluator": "matrix", **overrides})
-    with pytest.raises(ConfigError, match=key):
-        load_config(cfg)
-    out = tmp_path / "out"
-    assert main(["probe-limit", "--config", str(cfg), "--out", str(out)]) == 1
-    assert not out.exists()
-    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
-
-
-# the full ConfigError text of each malformed measure or weight entry: a
-# message names the entry and the key at fault
-MALFORMED_MEASURE_OR_WEIGHT = {
-    "ac-parts-entry-int": (
-        {"measure": {"ac_parts": [5]}},
-        "measure ac_parts entry must be a JSON object, got 5",
-    ),
-    "ac-parts-entry-unknown-key": (
-        {"measure": {"ac_parts": [{**constant_part(), "color": 1}]}},
-        "unknown keys in measure ac_parts entry: ['color']",
-    ),
-    "parameter-string": (
-        {"measure": {"ac_parts": [constant_part(level="1.0")]}},
-        "measure parameters level must be a finite number, got '1.0'",
-    ),
-    "support-edge-bool": (
-        {"measure": {"ac_parts": [constant_part(support=(True, 1.0))]}},
-        "measure support must be a finite number, got True",
-    ),
-    "atom-location-string": (
-        {"measure": {"atoms": [{"location": "0", "mass": 1.0}]}},
-        "atom location must be a finite number, got '0'",
-    ),
-    "atom-list": (
-        {"measure": {"atoms": [[0.0, 1.0]]}},
-        "measure atom must be a JSON object, got [0.0, 1.0]",
-    ),
-    "parameters-list": (
-        {"measure": {"ac_parts": [constant_part(parameters=[1.0])]}},
-        "measure parameters must be a JSON object, got [1.0]",
-    ),
-    "kind-missing": (
-        {"measure": {"ac_parts": [{"parameters": {"level": 1.0}, "support": [-1.0, 1.0]}]}},
-        "measure ac_parts entry is missing key 'kind'",
-    ),
-    "parameters-missing": (
-        {"measure": {"ac_parts": [{"kind": "constant", "support": [-1.0, 1.0]}]}},
-        "measure ac_parts entry is missing key 'parameters'",
-    ),
-    "atom-location-missing": (
-        {"measure": {"atoms": [{"mass": 1.0}]}},
-        "measure atom is missing key 'location'",
-    ),
-    "atom-mass-missing": (
-        {"measure": {"atoms": [{"location": 0.0}]}},
-        "measure atom is missing key 'mass'",
-    ),
-    "weight-kind-missing": (
-        {"weight": {"parameters": {"center": 0.0, "half_width": 1.0}}},
-        "weight is missing key 'kind'",
-    ),
-    "weight-unknown-key": (
-        {"weight": {**PLATEAU_WEIGHT, "shape": 1}},
-        "unknown keys in weight: ['shape']",
-    ),
-    "weight-parameter-string": (
-        {"weight": {"kind": "plateau", "parameters": {"center": 0.0, "half_width": "1"}}},
-        "weight parameters half_width must be a finite number, got '1'",
-    ),
-    "weight-support-mismatch": (
-        {"weight": {**PLATEAU_WEIGHT, "support": [-2.0, 2.0]}},
-        "weight support [-2.0, 2.0] does not match center ± half_width [-1.0, 1.0]",
-    ),
-    "ac-parts-int": (
-        {"measure": {"ac_parts": 5}},
-        "measure ac_parts must be a JSON array, got 5",
-    ),
-    "support-string": (
-        {"measure": {"ac_parts": [{**constant_part(), "support": "ab"}]}},
-        "measure support must be a JSON array, got 'ab'",
-    ),
-    "atoms-object": (
-        {"measure": {"atoms": {"location": 0, "mass": 1}}},
-        "measure atoms must be a JSON array, got {'location': 0, 'mass': 1}",
-    ),
-    "weight-support-float": (
-        {"weight": {**PLATEAU_WEIGHT, "support": 1.0}},
-        "weight support must be a JSON array, got 1.0",
-    ),
-    "kind-list": (
-        {"measure": {"ac_parts": [{**constant_part(), "kind": ["constant"]}]}},
-        "measure kind must be a string, got ['constant']",
-    ),
-    "weight-kind-list": (
-        {"weight": {**PLATEAU_WEIGHT, "kind": ["plateau"]}},
-        "weight kind must be a string, got ['plateau']",
-    ),
-}
-
-
-@pytest.mark.parametrize("overrides, message", MALFORMED_MEASURE_OR_WEIGHT.values(), ids=MALFORMED_MEASURE_OR_WEIGHT)
-def test_malformed_measure_or_weight_messages(tmp_path, overrides, message):
+def refused_by_load_config(row, tmp_path):
+    """load_config's message for the row's config, which it must refuse."""
     with pytest.raises(ConfigError) as excinfo:
-        load_config(write_config(tmp_path / "c.json", **overrides))
-    assert str(excinfo.value) == message
+        load_config(config_path(row, tmp_path))
+    return str(excinfo.value)
+
+
+# each refusal row's one stderr line is the message load_config raises
+@pytest.mark.parametrize("row", TYPE_ERRORS, ids=lambda row: row.name)
+def test_config_types_are_exact(tmp_path, row):
+    assert re.fullmatch(row.error, refused_by_load_config(row, tmp_path))
+
+
+@pytest.mark.parametrize("row", MALFORMED_MEASURE_OR_WEIGHT, ids=lambda row: row.name)
+def test_malformed_measure_or_weight_messages(tmp_path, row):
+    assert re.fullmatch(row.error, refused_by_load_config(row, tmp_path))
+
+
+@pytest.mark.parametrize("row", CONFIG_TEXT_ERRORS, ids=lambda row: row.name)
+def test_config_text_errors(tmp_path, row):
+    assert re.fullmatch(row.error, refused_by_load_config(row, tmp_path))
 
 
 @given(spectral_measures(), weight_functions())
@@ -891,49 +614,7 @@ OUTPUTS = {
 }
 
 
-SHIPPED = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
-# sha256 of every output file of each shipped config, written by the package
-# as it stood before the near/far split cut each part in one loop; the
-# outputs that hold a fitted line (holder_fit, stone_density and the three
-# probe_limit configs) were rewritten when every line fit became one closed
-# form.  To print the record the current code gives:
-#
-#     PYTHONPATH=src python tests/test_cli.py
-CONFIG_GOLDEN = Path(__file__).with_name("config_golden.json")
-
-
-def _command(config: str) -> str:
-    return "probe-limit" if config.startswith("probe_limit") else config[: -len(".json")].replace("_", "-")
-
-
-def _digests(files: dict) -> dict:
-    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(files.items())}
-
-
-@pytest.mark.parametrize("config", SHIPPED)
-def test_shipped_config_runs(tmp_path, capsys, config):
-    command = _command(config)
-    path = ROOT / "configs" / config
-    prefix = json.loads(path.read_text()).get("output_prefix", "run")
-    runs = []
-    for out in (tmp_path / "r1", tmp_path / "r2"):
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0
-        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert set(runs[0]) == {f"{prefix}_{suffix}" for suffix in OUTPUTS[command]}
-    assert runs[0] == runs[1]  # byte-identical reruns
-    assert _digests(runs[0]) == json.loads(CONFIG_GOLDEN.read_text())[config]
-    for suffix, table in OUTPUTS[command].items():
-        text = runs[0][f"{prefix}_{suffix}"].decode()
-        if table is None:
-            assert isinstance(json.loads(text), dict)
-        else:
-            title, header = table
-            assert text.split("\n")[:2] == [f"# resolvent-limits csv v1: {title}", header]
-    summaries = capsys.readouterr().out.splitlines()  # one summary line per run
-    assert len(summaries) == 2 and summaries[0] == summaries[1] and summaries[0].startswith(f"{command}: ")
-
-
-@pytest.mark.parametrize("config", SHIPPED)
+@pytest.mark.parametrize("config", [config.name for config in SHIPPED])
 def test_the_longest_output_prefix_names_every_output(tmp_path, config):
     # 229 UTF-8 bytes: with the longest suffix, "_holder_increments.csv.tmp",
     # an output's temporary name takes the 255 bytes a file name may hold
@@ -942,35 +623,42 @@ def test_the_longest_output_prefix_names_every_output(tmp_path, config):
     path = tmp_path / config
     path.write_text(json.dumps({**json.loads((ROOT / "configs" / config).read_text()), "output_prefix": prefix}))
     out = tmp_path / "out"
-    assert main([_command(config), "--config", str(path), "--out", str(out)]) == 0
-    assert {p.name for p in out.iterdir()} == {f"{prefix}_{suffix}" for suffix in OUTPUTS[_command(config)]}
+    assert main([command(config), "--config", str(path), "--out", str(out)]) == 0
+    outputs = {p.name: p.read_text() for p in out.iterdir()}
+    assert set(outputs) == {f"{prefix}_{suffix}" for suffix in OUTPUTS[command(config)]}
+    for suffix, table in OUTPUTS[command(config)].items():
+        text = outputs[f"{prefix}_{suffix}"]
+        if table is None:
+            assert isinstance(json.loads(text), dict)
+        else:
+            title, header = table
+            assert text.split("\n")[:2] == [f"# resolvent-limits csv v1: {title}", header]
 
 
-def test_holder_rates_script_runs(tmp_path):
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(ROOT / "scripts" / "run_holder_rates.py"),
-            "--alphas",
-            "0.5",
-            "--steps",
-            "8",
-            "--out",
-            str(tmp_path),
-        ],
-        capture_output=True,
-        text=True,
-        env=CHILD_ENV,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert len((tmp_path / "rates.csv").read_text().splitlines()) == 1 + 8
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+def test_console_case(tmp_path, capsys, monkeypatch, row):
+    """Every row of tests/console_cases.py through main, in process: the
+    console script's argv to main, a script's to its __main__."""
+
+    def run(argv):
+        if argv[0] == CLI:
+            code = main(argv[1:])
+        else:
+            monkeypatch.setattr(sys, "argv", argv[1:])
+            runpy.run_path(argv[1], run_name="__main__")
+            code = 0
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert fault(row, run, tmp_path) is None
 
 
 if __name__ == "__main__":
+    # the record tests/config_golden.json pins; each run's summary line goes
+    # to stderr, so stdout is the record alone
     record = {}
     for config in SHIPPED:
-        # each run's summary line goes to stderr, so stdout is the record alone
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(sys.stderr):
-            main([_command(config), "--config", str(ROOT / "configs" / config), "--out", out])
-            record[config] = _digests({p.name: p.read_bytes() for p in Path(out).iterdir()})
+            main([command(config.name), "--config", str(config), "--out", out])
+            record[config.name] = digests({p.name: p.read_bytes() for p in Path(out).iterdir()})
     print(json.dumps(record, indent=1))

@@ -342,6 +342,36 @@ def test_fit_divergence_rate_degenerate():
         fit_divergence_rate([1.0, 2.0], [0.1, 0.05])
 
 
+FIT_YS = [1.0, 0.5, 0.25, 0.125]
+HOLDER_RADII = tuple(0.1 * 0.5**k for k in range(8))
+HOLDER_INCREMENTS = [1.0, 0.5, 0.25, 0.12, 0.06, 0.03, 0.015, 0.008]
+
+
+@pytest.mark.parametrize(
+    "helper, args, message",
+    [
+        (fit_divergence_rate, ([1.0, 2.0, math.nan, 4.0], FIT_YS), "norms and ys must be finite"),
+        (fit_divergence_rate, ([1.0, 2.0, math.inf, 4.0], FIT_YS), "norms and ys must be finite"),
+        (fit_divergence_rate, ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, math.nan, 0.125]), "norms and ys must be finite"),
+        (fit_divergence_rate, ([1.0, 2.0, 3.0, 4.0], [math.inf, 0.5, 0.25, 0.125]), "norms and ys must be finite"),
+        (estimate_holder, (0.0, HOLDER_RADII, [math.nan, *HOLDER_INCREMENTS[1:]]), "increments must be finite"),
+        (estimate_holder, (0.0, HOLDER_RADII, [*HOLDER_INCREMENTS[:-1], math.inf]), "increments must be finite"),
+        (estimate_holder, (0.0, (math.inf, *HOLDER_RADII[1:]), HOLDER_INCREMENTS), "radii must be positive, finite"),
+        (geometric_radii, (math.inf, 0.5, 3), "need a finite r_max > 0"),
+        (geometric_radii, (10**400, 0.5, 3), "need a finite r_max > 0"),
+    ],
+    ids=[
+        "nan-norm", "inf-norm", "nan-y", "inf-y", "nan-increment", "inf-increment", "inf-radius", "inf-r_max", "huge-int-r_max"
+    ],
+)
+def test_a_fit_helper_refuses_input_that_is_not_finite(helper, args, message):
+    # a NaN gave a NaN slope or exponent, an infinity a bare fsum error, an
+    # infinite radius a fit window up to inf and an infinite r_max a ladder of
+    # infinities
+    with pytest.raises(ValueError, match=message):
+        helper(*args)
+
+
 def test_a_fit_over_equal_abscissae_is_degenerate():
     # a least-squares line through points with one abscissa has no slope
     with pytest.raises(DegenerateFit):

@@ -178,12 +178,22 @@ def test_array_node_build_matches_loop_and_invariants(case):
         assert abs(cont_mass - per_part) <= slack
 
 
-@pytest.mark.parametrize("m", [0, -1, 14])
+@pytest.mark.parametrize("m", [0, -1, 14, 3.9, 3.0, True, "3"])
 def test_embedding_dim_outside_node_count_rejected(m):
+    # a float m of 3.9 used to build 3 rows
     measure = SpectralMeasure(ac_parts=FLAT.ac_parts, atoms=(Atom(0.0, 1.0),))
     assert discretize(measure, PLATEAU, 13, 13).embedding.shape[0] == 13
+    assert discretize(measure, PLATEAU, 13, np.int64(3)).embedding.shape[0] == 3
     with pytest.raises(ValueError, match="embedding_dim"):
         discretize(measure, PLATEAU, 13, m)
+
+
+@pytest.mark.parametrize("n", [200.7, 200.0, True, "200"])
+def test_a_node_count_that_is_not_an_integer_is_rejected(n):
+    # n = 200.7 used to build 200 nodes
+    assert discretize(FLAT, PLATEAU, np.int64(200)).size == discretize(FLAT, PLATEAU, 200).size == 200
+    with pytest.raises(ValueError, match="n must be an integer"):
+        discretize(FLAT, PLATEAU, n)
 
 
 def test_discretize_builds_arrays_only():

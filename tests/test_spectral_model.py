@@ -216,15 +216,21 @@ def test_validation_errors():
         DensityFamily("mystery", {"level": 1.0}, (-1, 1))
     with pytest.raises(ValueError):
         WeightFunction("hat", {"center": 0.0, "half_width": -1.0})
-    with pytest.raises(ValueError):
-        Atom(0.0, 0.0)
     # an int beyond the float range is refused as an infinity is, not by OverflowError
     with pytest.raises(ValueError, match="support"):
         DensityFamily("constant", {"level": 1.0}, (-1.0, 10**400))
     with pytest.raises(ValueError, match="atom location"):
         Atom(10**400, 1.0)
-    with pytest.raises(ValueError, match="atom mass"):
-        Atom(0.0, 10**400)
+    # a mass that is not finite is refused as not finite, a finite one <= 0 as not positive
+    for mass, message in [
+        (math.inf, "atom mass must be finite"),
+        (math.nan, "atom mass must be finite"),
+        (10**400, "atom mass must be finite"),
+        (0.0, "atom mass must be strictly positive"),
+        (-1.0, "atom mass must be strictly positive"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Atom(0.0, mass)
     with pytest.raises(ValueError):
         SpectralMeasure(atoms=(Atom(0.0, 1.0), Atom(0.0, 2.0)))
 
