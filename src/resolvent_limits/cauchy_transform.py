@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AtomAtProbe, NonrealRequired, NotHolder
+from .errors import POSITIVE, AtomAtProbe, NonrealRequired, NotHolder, point, real
 from .quadrature import DEFAULT_ABS_TOL, FREEZE, integrate_adaptive, seed_grid
 from .spectral_model import SpectralMeasure, WeightFunction
 
@@ -189,6 +189,7 @@ _last_plan = None  # one slot: consecutive calls on one ladder share its plan
 def _transform(measure: SpectralMeasure, weight: WeightFunction, z: complex, abs_tol: float) -> TransformValue:
     """C(z) by singularity subtraction; Im z = 0 is read as 0+."""
     global _last_plan
+    abs_tol = real("abs_tol", abs_tol, POSITIVE)
     x0, y = z.real, z.imag
     plan = _last_plan
     if plan is None or plan.key != (measure, weight, x0):
@@ -232,7 +233,7 @@ def evaluate_offaxis(
 
     Atoms are added in closed form.  Raises NonrealRequired on the real axis.
     """
-    z = complex(z)
+    z = point("z", z)
     if z.imag == 0.0:
         raise NonrealRequired(f"evaluate_offaxis needs Im z != 0, got z={z}")
     return _transform(measure, weight, z, abs_tol)
@@ -252,8 +253,7 @@ def plemelj_boundary(
     ``lam`` that F sees (m w(lam)^2 != 0), NotHolder when w^2 rho jumps there,
     and nothing else.
     """
-    lam = float(lam)
-    return complex(_transform(measure, weight, complex(lam, 0.0), abs_tol).value)
+    return complex(_transform(measure, weight, complex(real("lam", lam), 0.0), abs_tol).value)
 
 
 def principal_value(
@@ -274,8 +274,7 @@ def near_far_split(measure: SpectralMeasure, lam: float, eps: float) -> SplitMea
     Densities are truncated at the cut; atoms go near iff |loc - lam| < eps
     (the near zone is open, so an atom at distance exactly eps is far).
     """
-    if not eps > 0 or math.isnan(lam):
-        raise ValueError(f"need eps > 0 and a number lam, got eps={eps!r}, lam={lam!r}")
+    lam, eps = real("lam", lam), real("eps", eps, POSITIVE)
     cut_lo, cut_hi = lam - eps, lam + eps
     near_parts, far_parts = [], []
     for part in measure.ac_parts:
@@ -292,8 +291,8 @@ def near_far_split(measure: SpectralMeasure, lam: float, eps: float) -> SplitMea
     return SplitMeasure(
         near=SpectralMeasure(ac_parts=near_parts, atoms=near_atoms),
         far=SpectralMeasure(ac_parts=far_parts, atoms=far_atoms),
-        lam=float(lam),
-        eps=float(eps),
+        lam=lam,
+        eps=eps,
     )
 
 
@@ -309,6 +308,7 @@ def weighted_mass(
     plan is built apart from the one a ladder keeps.  Returns (value,
     error_estimate).
     """
+    abs_tol = real("abs_tol", abs_tol, POSITIVE)
     plan = _Plan(measure, weight, -math.inf)
     terms, err = [mw for _, mw in plan.atoms], 0.0
     if plan.edges:

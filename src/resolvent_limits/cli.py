@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .cauchy_transform import evaluate_offaxis
-from .errors import ConfigError, DegenerateFit, ResolventLimitsError
+from .errors import FINITE, POSITIVE, ConfigError, DegenerateFit, ResolventLimitsError, real
 from .limit_analysis import (
     CONVERGES,
     DIVERGES,
@@ -83,6 +83,30 @@ __all__ = ["main", "ExperimentConfig", "load_config"]
 CSV_VERSION = "resolvent-limits csv v1"
 
 
+_KINDS = {
+    bool: "true or false",
+    int: "an integer",
+    str: "a string",
+    list: "a JSON array",
+    dict: "a JSON object",
+}
+
+
+def read_value(name: str, value, kind: type, rule=FINITE):
+    """A JSON value of one kind (float or a key of ``_KINDS``), read without
+    coercion: "false" is not False, 13.9 is not 13, true is not 1, "0.3" is
+    not 0.3 and "ab" is not an array.  A float (or an int in the float range)
+    is read by ``errors.real`` under ``rule``.  Else it raises ConfigError."""
+    if kind is float:
+        try:
+            return real(name, value, rule)
+        except ValueError as exc:
+            raise ConfigError(exc) from None
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerances:
     quadrature_abs: float = DEFAULT_ABS_TOL
@@ -92,8 +116,7 @@ class Tolerances:
     def __post_init__(self):
         # no estimate meets a target of zero or below: a quadrature spends its panel budget on every rung
         for name, value in asdict(self).items():
-            if not value > 0:
-                raise ConfigError(f"tolerances {name} must be positive, got {value!r}")
+            read_value(f"tolerances {name}", value, float, POSITIVE)
 
 
 class ExperimentConfig(NamedTuple):
@@ -137,29 +160,6 @@ class ExperimentConfig(NamedTuple):
 
 def _echo_family(family) -> dict:
     return {"kind": family.kind, "parameters": dict(family.parameters), "support": list(family.support)}
-
-
-_KINDS = {
-    float: "a finite number",
-    bool: "true or false",
-    int: "an integer",
-    str: "a string",
-    list: "a JSON array",
-    dict: "a JSON object",
-}
-
-
-def read_value(name: str, value, kind: type):
-    """A JSON value of one kind (a key of ``_KINDS``), read without coercion:
-    "false" is not False, 13.9 is not 13, true is not 1, "0.3" is not 0.3 and
-    "ab" is not an array.  A float may be given as an integer within the float
-    range, which is read as a float, and it must be finite.  Anything else
-    raises ConfigError."""
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    return value
 
 
 def read_object(name: str, value, keys, required=()) -> dict:

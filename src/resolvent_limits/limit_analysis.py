@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFit, EvaluatorFailure, InvalidExponent
+from .errors import NONNEGATIVE, OPEN_UNIT, POSITIVE, DegenerateFit, EvaluatorFailure, InvalidExponent, integer, real, reals
 # operator_norm is not called here: samples compute their own norms.  The name
 # stays because the benchmark's traced run (bench/tracing.py) wraps it.
 from .matrix_oracle import MatrixModel, OperatorSample, operator_norm  # noqa: F401
@@ -82,16 +81,12 @@ class YSchedule:
     ratio: float = 0.5
 
     def __post_init__(self):
-        if not (0 < self.ratio < 1):
-            raise ValueError("ratio must lie in (0, 1)")
-        if not (0 < self.y_min <= self.y_max):
-            raise ValueError("need 0 < y_min <= y_max")
-        # the ladder from an infinite y_max never ends, and an int beyond the
-        # float range, which math.isfinite cannot convert, is refused alike
-        if not self.y_max <= sys.float_info.max:
-            raise ValueError(f"y_max must be finite, got {self.y_max!r}")
+        for name, rule in (("y_max", POSITIVE), ("y_min", POSITIVE), ("ratio", OPEN_UNIT)):
+            object.__setattr__(self, name, real(name, getattr(self, name), rule))
+        if not self.y_min <= self.y_max:
+            raise ValueError("need y_min <= y_max")
         values = []
-        y = float(self.y_max)
+        y = self.y_max
         floor = self.y_min * (1.0 - 1e-12)
         while y >= floor:
             if len(values) == MAX_RUNGS:  # a ratio near 1 makes a ladder of any length
@@ -199,13 +194,14 @@ def limit_probe(
     OperatorSample.  Evaluator exceptions are re-raised as EvaluatorFailure
     carrying the offending y; a sample that is not finite raises one too.
     """
+    lam, tolerance = real("lam", lam), real("tolerance", tolerance)
     samples = tuple(_rungs(evaluator, lam, schedule))
     ys = schedule.values
     norms = [s.norm for s in samples]
     diffs = [s.diff for s in samples[1:]]
 
     def report(verdict, rate, residual, limit=None):
-        return LimitReport(float(lam), schedule, samples, verdict, rate, limit, residual)
+        return LimitReport(lam, schedule, samples, verdict, rate, limit, residual)
 
     # only increasing norms are fitted: nothing else reads the slope
     rising = norms[-1] > norms[0] and all(b >= a * (1.0 - 1e-9) for a, b in zip(norms, norms[1:]))
@@ -234,14 +230,9 @@ def fit_divergence_rate(norms: Sequence[float], ys: Sequence[float]) -> tuple:
     A 1/y eigenvalue divergence fits slope -1.  Raises DegenerateFit when all
     norms coincide, or all ys (no rate to fit).
     """
-    norms = np.asarray(norms, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    norms, ys = reals("norms", norms, POSITIVE), reals("ys", ys, POSITIVE)
     if norms.size != ys.size or norms.size < 4:
         raise ValueError("need equal-length inputs with at least 4 samples")
-    if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(ys))):
-        raise ValueError("norms and ys must be finite")
-    if np.any(norms <= 0) or np.any(ys <= 0):
-        raise ValueError("norms and ys must be positive")
     if np.all(norms == norms[0]):
         raise DegenerateFit("all norms equal; slope undefined")
     return _loglog_fit(ys, norms)[:2]
@@ -266,11 +257,11 @@ def compactness_probe(
     truncation radius R, the tail sup ``max_{|x_i| > R} w_i (1 + |x_i|)^{-s}``,
     which is nonincreasing in R and exactly 0 once R covers the weight support.
     """
-    if not s > 0.5:
+    if s != s or not (s := real("s", s)) > 0.5:  # a NaN exponent does not exceed 1/2 either
         raise InvalidExponent(f"decay exponent s={s} must exceed 1/2")
-    radii = [float(r) for r in truncation_radii]
-    if not (radii and all(r > 0 for r in radii) and all(a < b for a, b in zip(radii, radii[1:]))):
-        raise ValueError("truncation radii must be a nonempty, positive and increasing list")
+    radii = reals("truncation_radii", truncation_radii, POSITIVE).tolist()
+    if not (radii and all(a < b for a, b in zip(radii, radii[1:]))):
+        raise ValueError("truncation_radii must be a nonempty and increasing list")
     if not model.nodes.size:
         raise ValueError("the model has no nodes: its measure has no atom and no density node of positive mass")
 
@@ -287,7 +278,7 @@ def compactness_probe(
         outside = np.abs(model.nodes) > r
         bounds.append(float(np.max(g[outside])) if np.any(outside) else 0.0)
     return CompactnessReport(
-        s=float(s),
+        s=s,
         truncation_radii=tuple(radii),
         singular_values=tuple(sigma.tolist()),
         sup_bounds=tuple(bounds),
@@ -316,7 +307,7 @@ def stone_density(
     squares of y from underflowing below about 1e-162.  For catalog data this
     recovers w(lam)^2 rho(lam).
     """
-    imags = [s.shadow.imag for s in _rungs(evaluator, lam, schedule)]
+    imags = [s.shadow.imag for s in _rungs(evaluator, real("lam", lam), schedule)]
     estimates = [v / math.pi for v in imags]
     tail = max(4, len(estimates) // 2)
     ys = schedule.values[-tail:]
@@ -343,14 +334,16 @@ class HolderEstimate(NamedTuple):
 
 def geometric_radii(r_max: float, ratio: float, count: int) -> tuple:
     """Strictly decreasing geometric radius ladder for estimate_holder."""
-    if not (0 < ratio < 1 and 0 < r_max <= sys.float_info.max and count >= 1):
-        raise ValueError("need a finite r_max > 0, 0 < ratio < 1, count >= 1")
+    r_max = real("r_max", r_max, POSITIVE)
+    ratio = real("ratio", ratio, OPEN_UNIT)
+    count = integer("count", count, 1)
     return tuple(r_max * ratio ** k for k in range(count))
 
 
 def holder_increments(f: Callable[[float], float], lam: float, radii: Sequence[float]) -> np.ndarray:
     """Two-sided increment (|f(lam + r) - f(lam)| + |f(lam - r) - f(lam)|) / 2
     for each radius r."""
+    lam, radii = real("lam", lam), reals("radii", radii, POSITIVE).tolist()
     f0 = float(f(lam))
     return np.array([0.5 * (abs(float(f(lam + r)) - f0) + abs(float(f(lam - r)) - f0)) for r in radii])
 
@@ -365,17 +358,15 @@ def estimate_holder(lam: float, radii: Sequence[float], increments: Sequence[flo
     Raises DegenerateFit when more than half the radii produce zero
     increment (locally constant data; callers treat the exponent as 1).
     """
-    radii = [float(r) for r in radii]
+    lam, radii = real("lam", lam), reals("radii", radii, POSITIVE).tolist()
     if len(radii) < 8:
         raise ValueError("need at least 8 radii")
-    if not (all(0 < r <= sys.float_info.max for r in radii) and all(b < a for a, b in zip(radii, radii[1:]))):
-        raise ValueError("radii must be positive, finite and strictly decreasing")
+    if not all(b < a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly decreasing")
 
-    incs = np.asarray(increments, dtype=float)
+    incs = reals("increments", increments, NONNEGATIVE)
     if incs.shape != (len(radii),):
         raise ValueError(f"need one increment per radius, got {incs.shape} for {len(radii)} radii")
-    if not np.all(np.isfinite(incs)):
-        raise ValueError("increments must be finite")
     zero = incs == 0.0
     if np.count_nonzero(zero) > len(radii) / 2:
         raise DegenerateFit(f"{np.count_nonzero(zero)} of {len(radii)} increments vanish at lam={lam}")

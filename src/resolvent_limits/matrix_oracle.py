@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoAtomAtLambda, NonrealRequired, TooFewNodes
+from .errors import NONNEGATIVE, POSITIVE, NoAtomAtLambda, NonrealRequired, TooFewNodes, integer, point, real, reals
 from .spectral_model import SpectralMeasure, WeightFunction
 
 __all__ = [
@@ -62,20 +62,13 @@ class MatrixModel:
     spectral_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = reals("nodes", self.nodes)
+        masses = reals("masses", self.masses, POSITIVE)
+        weights = reals("weights", self.weights, NONNEGATIVE)
         flags = np.asarray(self.atom_flags, dtype=bool)
         n = nodes.size
         if not (masses.size == weights.size == flags.size == n):
             raise ValueError("nodes, masses, weights, atom_flags must share length")
-        for name, arr in (("nodes", nodes), ("masses", masses), ("weights", weights)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-        if (masses <= 0).any():
-            raise ValueError("masses must be strictly positive")
-        if (weights < 0).any():
-            raise ValueError("weights must be nonnegative")
         steps = np.diff(nodes)
         if (steps < 0).any():
             raise ValueError("nodes must be sorted")
@@ -115,7 +108,7 @@ class MatrixModel:
         return self.weights * np.sqrt(self.masses)
 
     def atom_mask(self, lam: float) -> np.ndarray:
-        return self.atom_flags & (self.nodes == lam)
+        return self.atom_flags & (self.nodes == real("lam", lam))
 
 
 def _max_abs(v: np.ndarray) -> float:
@@ -168,11 +161,6 @@ def _seeded_embedding(m: int, n: int, seed: int) -> np.ndarray:
     return q.T.copy()
 
 
-def _integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def discretize(
     measure: SpectralMeasure,
     weight: WeightFunction,
@@ -188,12 +176,10 @@ def discretize(
     mass.  Zero-mass density nodes are pruned.  ``embedding_dim=SAME`` keeps
     the identity embedding; an integer m (an int or a numpy integer) with
     1 <= m <= node count selects the first m rows of a seeded orthonormal
-    matrix, and any other m raises ValueError, as does an ``n`` that is not
-    an integer.
+    matrix, and any other m raises ValueError, as do an ``n`` and a ``seed``
+    that are not integers >= 0.
     """
-    if not _integer(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    n, seed = integer("n", n, 0), integer("seed", seed, 0)
     atoms = measure.atoms
     required = len(atoms) + (max(2, len(measure.ac_parts)) if measure.ac_parts else 0)
     if n < required:
@@ -241,16 +227,17 @@ def discretize(
 
     J = None
     if embedding_dim != SAME:
-        if not (_integer(embedding_dim) and 1 <= embedding_dim <= nodes.size):
-            raise ValueError(f"embedding_dim must be {SAME!r} or an integer in [1, {nodes.size}], got {embedding_dim!r}")
-        J = _seeded_embedding(int(embedding_dim), nodes.size, seed)
+        m = integer("embedding_dim", embedding_dim, 1)
+        if m > nodes.size:
+            raise ValueError(f"embedding_dim must be {SAME!r} or at most the node count {nodes.size}, got {m}")
+        J = _seeded_embedding(m, nodes.size, seed)
     return MatrixModel(nodes=nodes, masses=mus, weights=weight.values(nodes), atom_flags=flags, embedding=J)
 
 
 def _divided(model: MatrixModel, z: complex, keep: np.ndarray | None = None) -> tuple:
     """(complex z, ``c_i / (x_i - z)``), 0 off a ``keep`` mask, so real z may sit
     on an excluded node; real z on a (kept) node raises NonrealRequired."""
-    z = complex(z)
+    z = point("z", z)
     if z.imag == 0.0:
         hit = model.nodes == z.real
         if np.any(hit if keep is None else hit & keep):
@@ -346,6 +333,7 @@ def resolution_floor(model: MatrixModel, lam: float) -> float:
     Below this the discretized continuum acts like point spectrum.  Models
     with fewer than two continuum nodes have no floor (returns 0).
     """
+    lam = real("lam", lam)
     cont = model.nodes[~model.atom_flags]
     if cont.size < 2:
         return 0.0

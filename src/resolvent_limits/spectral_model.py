@@ -10,9 +10,10 @@ is the transform kernel's question.  Fitting a Holder exponent from a
 family's increments is a rate fit, and lives with the others in
 ``limit_analysis``.  The JSON form of a measure and a weight in a config file
 is read and written by ``cli``.  Each kind is one entry of its catalog's
-table: its parameter names, each with its range (any finite value,
-nonnegative, positive, or in (0, 1]).  A parameter must be an int or a float
-in that range, and is kept as a float.
+table: its parameter names, each with its rule of ``errors.real`` (finite,
+nonnegative, positive, or in (0, 1]).  Every number a record takes is read by
+that reader and kept as a float, and so is the point a family or
+``density_at`` is called at.
 
 Density catalog (``DensityFamily.kind``):
 
@@ -39,32 +40,26 @@ Weight catalog (``WeightFunction.kind``):
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
+from .errors import FINITE, NONNEGATIVE, POSITIVE, UNIT, real, reals
+
 __all__ = ["DensityFamily", "SpectralMeasure", "WeightFunction", "Atom"]
 
-# a parameter's range: a test of its finite value, and the phrase stating it
-_ANY = (math.isfinite, "be finite")
-_NONNEGATIVE = (lambda v: v >= 0.0, "be nonnegative")
-_POSITIVE = (lambda v: v > 0.0, "be positive")
-_UNIT = (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
-
 _DENSITY_PARAMS = {
-    "constant": {"level": _NONNEGATIVE},
-    "affine": {"level": _ANY, "slope": _ANY, "center": _ANY},
-    "power_bump": {"level": _NONNEGATIVE, "exponent": _UNIT, "center": _ANY},
-    "smooth_bump": {"level": _NONNEGATIVE, "center": _ANY, "half_width": _POSITIVE},
+    "constant": {"level": NONNEGATIVE},
+    "affine": {"level": FINITE, "slope": FINITE, "center": FINITE},
+    "power_bump": {"level": NONNEGATIVE, "exponent": UNIT, "center": FINITE},
+    "smooth_bump": {"level": NONNEGATIVE, "center": FINITE, "half_width": POSITIVE},
 }
 _WEIGHT_PARAMS = {
-    "hat": {"center": _ANY, "half_width": _POSITIVE},
-    "cosine_bump": {"center": _ANY, "half_width": _POSITIVE},
-    "power_hat": {"center": _ANY, "half_width": _POSITIVE, "exponent": _UNIT},
-    "plateau": {"center": _ANY, "half_width": _POSITIVE},
+    "hat": {"center": FINITE, "half_width": POSITIVE},
+    "cosine_bump": {"center": FINITE, "half_width": POSITIVE},
+    "power_hat": {"center": FINITE, "half_width": POSITIVE, "exponent": UNIT},
+    "plateau": {"center": FINITE, "half_width": POSITIVE},
 }
 
 # a smooth_bump's shoulders, t = 1 - 2^-k from its centre toward either
@@ -73,17 +68,10 @@ _WEIGHT_PARAMS = {
 _SHOULDERS = tuple(1.0 - 0.5 ** k for k in range(1, 8))
 
 
-def _finite(value) -> bool:
-    """Whether an int or a float is finite: False for NaN, an infinity and an
-    int beyond the float range, which ``math.isfinite`` cannot convert."""
-    return abs(value) <= sys.float_info.max
-
-
 def _freeze_params(family, table: dict) -> None:
-    """Check a family's parameters against its kind's entry in ``table``, each
-    a finite int or float in its range, and keep them as floats in a read-only
-    copy: a built family's value never changes, so the transform kernel may
-    reuse work keyed on it."""
+    """Read a family's parameters by the rules of its kind's entry in
+    ``table``, and keep them as floats in a read-only copy: a built family's
+    value never changes, so the transform kernel may reuse work keyed on it."""
     kind, params = family.kind, dict(family.parameters)
     if kind not in table:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {sorted(table)}")
@@ -91,14 +79,7 @@ def _freeze_params(family, table: dict) -> None:
     if params.keys() != expected.keys():
         raise ValueError(f"{kind} expects parameters {sorted(expected)}, got {sorted(params)}")
     for name, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{kind} parameter {name}={value!r} is not a number")
-        if not _finite(value):
-            raise ValueError(f"{kind} parameter {name}={value!r} is not finite")
-        admits, phrase = expected[name]
-        if not admits(value):
-            raise ValueError(f"{kind} {name} must {phrase}")
-        params[name] = float(value)
+        params[name] = real(f"{kind} {name}", value, expected[name])
     object.__setattr__(family, "parameters", MappingProxyType(params))
 
 
@@ -107,7 +88,7 @@ class _Family:
     family defines its own vectorized ``values``."""
 
     def __call__(self, x: float) -> float:
-        return float(self.values(np.asarray([x]))[0])
+        return float(self.values(np.asarray([real("x", x)]))[0])
 
 
 @dataclass(frozen=True)
@@ -121,21 +102,22 @@ class DensityFamily(_Family):
     def __post_init__(self):
         _freeze_params(self, _DENSITY_PARAMS)
         p = self.parameters
-        if len(self.support) not in (0, 2):
+        support = reals("support", self.support).tolist()
+        if len(support) not in (0, 2):
             raise ValueError(f"support must be an interval [lo, hi], got {self.support}")
         if self.kind == "smooth_bump":
             natural = (p["center"] - p["half_width"], p["center"] + p["half_width"])
-            support = natural if not self.support else (
-                max(self.support[0], natural[0]),
-                min(self.support[1], natural[1]),
+            support = natural if not support else (
+                max(support[0], natural[0]),
+                min(support[1], natural[1]),
             )
-            object.__setattr__(self, "support", support)
-        if not self.support:
+        if not support:
             raise ValueError(f"{self.kind} requires an explicit support interval")
-        lo, hi = self.support
-        if not (_finite(lo) and _finite(hi) and lo < hi):
-            raise ValueError(f"support must be a finite interval with lo < hi, got {self.support}")
-        object.__setattr__(self, "support", (float(lo), float(hi)))
+        # read again: a smooth_bump's computed edges overflow when |center| + half_width does
+        lo, hi = reals("support", support).tolist()
+        if not lo < hi:
+            raise ValueError(f"support must have lo < hi, got {(lo, hi)}")
+        object.__setattr__(self, "support", (lo, hi))
 
     def values(self, x) -> np.ndarray:
         """Vectorized evaluation; zero outside the support."""
@@ -194,12 +176,8 @@ class Atom:
     mass: float
 
     def __post_init__(self):
-        if not _finite(self.location):
-            raise ValueError("atom location must be finite")
-        if not _finite(self.mass):
-            raise ValueError("atom mass must be finite")
-        if not self.mass > 0:
-            raise ValueError("atom mass must be strictly positive")
+        object.__setattr__(self, "location", real("atom location", self.location))
+        object.__setattr__(self, "mass", real("atom mass", self.mass, POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -229,6 +207,7 @@ class SpectralMeasure:
         begins a continuous density reads its value, a jump its midpoint and
         an outer support edge half the value.  Off every part's edges it is
         the sum that ``density_values`` gives, bit for bit."""
+        x = real("x", x)
         left = right = 0.0
         for part in self.ac_parts:
             lo, hi = part.support

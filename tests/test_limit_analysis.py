@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def test_schedule_rejects_an_infinite_y_max():
     # the ladder from inf never reaches y_min, so building its values would never
     # end; an int beyond the float range is refused alike, not by OverflowError
     for y_max in math.inf, 10**400:
-        with pytest.raises(ValueError, match="y_max must be finite"):
+        with pytest.raises(ValueError, match=f"^y_max must be a finite number, got {y_max!r}$"):
             YSchedule(y_max=y_max)
 
 
@@ -345,30 +346,44 @@ def test_fit_divergence_rate_degenerate():
 FIT_YS = [1.0, 0.5, 0.25, 0.125]
 HOLDER_RADII = tuple(0.1 * 0.5**k for k in range(8))
 HOLDER_INCREMENTS = [1.0, 0.5, 0.25, 0.12, 0.06, 0.03, 0.015, 0.008]
+HUGE_MESSAGE = f"must be a finite number, got {10**400!r}"
 
 
 @pytest.mark.parametrize(
     "helper, args, message",
     [
-        (fit_divergence_rate, ([1.0, 2.0, math.nan, 4.0], FIT_YS), "norms and ys must be finite"),
-        (fit_divergence_rate, ([1.0, 2.0, math.inf, 4.0], FIT_YS), "norms and ys must be finite"),
-        (fit_divergence_rate, ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, math.nan, 0.125]), "norms and ys must be finite"),
-        (fit_divergence_rate, ([1.0, 2.0, 3.0, 4.0], [math.inf, 0.5, 0.25, 0.125]), "norms and ys must be finite"),
-        (estimate_holder, (0.0, HOLDER_RADII, [math.nan, *HOLDER_INCREMENTS[1:]]), "increments must be finite"),
-        (estimate_holder, (0.0, HOLDER_RADII, [*HOLDER_INCREMENTS[:-1], math.inf]), "increments must be finite"),
-        (estimate_holder, (0.0, (math.inf, *HOLDER_RADII[1:]), HOLDER_INCREMENTS), "radii must be positive, finite"),
-        (geometric_radii, (math.inf, 0.5, 3), "need a finite r_max > 0"),
-        (geometric_radii, (10**400, 0.5, 3), "need a finite r_max > 0"),
+        (fit_divergence_rate, ([1.0, 2.0, math.nan, 4.0], FIT_YS), "norms[2] must be a finite number, got nan"),
+        (fit_divergence_rate, ([1.0, 2.0, math.inf, 4.0], FIT_YS), "norms[2] must be a finite number, got inf"),
+        (fit_divergence_rate, ([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, math.nan, 0.125]), "ys[2] must be a finite number, got nan"),
+        (fit_divergence_rate, ([1.0, 2.0, 3.0, 4.0], [math.inf, 0.5, 0.25, 0.125]), "ys[0] must be a finite number, got inf"),
+        (fit_divergence_rate, ([1, 2, 3, 10**400], FIT_YS), f"norms[3] {HUGE_MESSAGE}"),
+        (
+            estimate_holder,
+            (0.0, HOLDER_RADII, [math.nan, *HOLDER_INCREMENTS[1:]]),
+            "increments[0] must be a finite number, got nan",
+        ),
+        (
+            estimate_holder,
+            (0.0, HOLDER_RADII, [*HOLDER_INCREMENTS[:-1], math.inf]),
+            "increments[7] must be a finite number, got inf",
+        ),
+        (estimate_holder, (0.0, HOLDER_RADII, [1.0, -0.5, *HOLDER_INCREMENTS[2:]]), "increments[1] must be nonnegative"),
+        (estimate_holder, (0.0, (math.inf, *HOLDER_RADII[1:]), HOLDER_INCREMENTS), "radii[0] must be a finite number, got inf"),
+        (estimate_holder, (0.0, (10**400, *HOLDER_RADII[1:]), HOLDER_INCREMENTS), f"radii[0] {HUGE_MESSAGE}"),
+        (geometric_radii, (math.inf, 0.5, 3), "r_max must be a finite number, got inf"),
+        (geometric_radii, (10**400, 0.5, 3), f"r_max {HUGE_MESSAGE}"),
     ],
     ids=[
-        "nan-norm", "inf-norm", "nan-y", "inf-y", "nan-increment", "inf-increment", "inf-radius", "inf-r_max", "huge-int-r_max"
+        "nan-norm", "inf-norm", "nan-y", "inf-y", "huge-int-norm", "nan-increment", "inf-increment", "negative-increment",
+        "inf-radius", "huge-int-radius", "inf-r_max", "huge-int-r_max",
     ],
 )
 def test_a_fit_helper_refuses_input_that_is_not_finite(helper, args, message):
     # a NaN gave a NaN slope or exponent, an infinity a bare fsum error, an
     # infinite radius a fit window up to inf and an infinite r_max a ladder of
-    # infinities
-    with pytest.raises(ValueError, match=message):
+    # infinities; a negative increment gave a NaN exponent with a numpy
+    # warning, and an int beyond the float range a bare OverflowError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         helper(*args)
 
 

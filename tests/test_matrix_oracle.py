@@ -308,13 +308,16 @@ def test_eigen_contribution_requires_flagged_node():
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{"nodes": [0.0, np.nan, 1.0]}, {"masses": [1.0, 1.0, np.nan]}, {"weights": [1.0, np.inf, 1.0]}],
+    "bad, message",
+    [
+        ({"nodes": [0.0, np.nan, 1.0]}, r"^nodes\[1\] must be a finite number, got nan$"),
+        ({"masses": [1.0, 1.0, np.nan]}, r"^masses\[2\] must be a finite number, got nan$"),
+        ({"weights": [1.0, np.inf, 1.0]}, r"^weights\[1\] must be a finite number, got inf$"),
+    ],
     ids=["nodes", "masses", "weights"],
 )
-def test_non_finite_arrays_rejected(bad):
-    (name,) = bad
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+def test_non_finite_arrays_rejected(bad, message):
+    with pytest.raises(ValueError, match=message):
         _model(**{"nodes": [0.0, 0.5, 1.0], **bad})
 
 

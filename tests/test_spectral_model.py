@@ -126,7 +126,7 @@ def test_estimate_holder_rejects_bad_radii():
 def test_estimate_holder_rejects_a_nan_radius(k):
     radii = list(RADII)
     radii[k] = math.nan
-    with pytest.raises(ValueError, match="strictly decreasing"):
+    with pytest.raises(ValueError, match=rf"^radii\[{k}\] must be a finite number, got nan$"):
         estimate_holder(0.0, radii, np.ones(len(radii)))
 
 
@@ -219,15 +219,22 @@ def test_validation_errors():
     # an int beyond the float range is refused as an infinity is, not by OverflowError
     with pytest.raises(ValueError, match="support"):
         DensityFamily("constant", {"level": 1.0}, (-1.0, 10**400))
+    # so is a smooth_bump's computed edge: center -+ half_width overflows to (0.0, inf) or (-inf, 0.0)
+    for center, edge in [
+        (1e308, r"support\[1\] must be a finite number, got inf"),
+        (-1e308, r"support\[0\] must be a finite number, got -inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{edge}$"):
+            DensityFamily("smooth_bump", {"level": 1.0, "center": center, "half_width": 1e308})
     with pytest.raises(ValueError, match="atom location"):
         Atom(10**400, 1.0)
     # a mass that is not finite is refused as not finite, a finite one <= 0 as not positive
     for mass, message in [
-        (math.inf, "atom mass must be finite"),
-        (math.nan, "atom mass must be finite"),
-        (10**400, "atom mass must be finite"),
-        (0.0, "atom mass must be strictly positive"),
-        (-1.0, "atom mass must be strictly positive"),
+        (math.inf, "atom mass must be a finite number, got inf"),
+        (math.nan, "atom mass must be a finite number, got nan"),
+        (10**400, f"atom mass must be a finite number, got {10**400!r}"),
+        (0.0, "atom mass must be positive"),
+        (-1.0, "atom mass must be positive"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Atom(0.0, mass)
