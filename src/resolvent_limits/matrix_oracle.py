@@ -13,9 +13,12 @@ to both samples (the regularized one divides only the kept nodes) and to
 ``quadratic_form``.  One product gives both samples and
 ``eigen_contribution`` the m x m matrix ``J diag(v) J*`` of an embedding,
 formed once with its largest singular value; for the identity the diagonal
-stands alone, with norm ``max |v|``.  No linear solves: resolvent
-application on a diagonal model is exact arithmetic, which keeps rate fits
-clean.
+stands alone, with norm ``max |v|``.  The probe reads only that operator
+norm, so the product gets no full SVD: a Golub-Kahan-Lanczos iteration from
+a seeded start vector gives it, for a sample, a difference of samples and
+``operator_norm`` alike, and stops once its top Ritz residual is at most
+1e-15 of the value.  No linear solves: resolvent application on a diagonal
+model is exact arithmetic, which keeps rate fits clean.
 
 Atom nodes carry the exact eigenvalue coordinate and mass and are marked by
 ``atom_flags``; matching is exact float equality, never a tolerance, because
@@ -248,8 +251,10 @@ def _divided(model: MatrixModel, z: complex, keep: np.ndarray | None = None) -> 
 
 
 def _packaged(J: np.ndarray | None, v: np.ndarray) -> tuple:
-    """(J diag(v) J*, its largest singular value), both read-only, or (None,
-    ``max |v|``) for the identity (J None); ``v`` is frozen."""
+    """(J diag(v) J*, its largest singular value by the Krylov iteration of
+    ``_spectral_norm``, stopped at a Ritz residual of 1e-15 of the value),
+    the product read-only, or (None, ``max |v|``) for the identity (J None);
+    ``v`` is frozen."""
     v.setflags(write=False)
     if J is None:
         return None, _max_abs(v)
@@ -268,17 +273,73 @@ def sandwiched_resolvent(model: MatrixModel, z: complex) -> OperatorSample:
     return OperatorSample(z, diag, *_packaged(model.embedding, diag))
 
 
+def _top_singular_value(A: np.ndarray) -> float:
+    """Largest singular value of a nonzero 2-d array with entries of size
+    about 1, by Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965)
+    with full reorthogonalization, from a start vector seeded on each call.
+
+    After k steps ``A V_k = U_k B_k`` and ``A* U_k = V_k B_k* + beta_k
+    v_{k+1} e_k*`` with ``B_k`` upper bidiagonal and the bases grown a row a
+    step.  The largest singular value theta of ``B_k``, that of a compression
+    of A, is not above sigma_1, and its Ritz pair has the residual
+    ``beta_k |p_k|``, with p the top left singular vector of ``B_k``.  The
+    iteration stops once that residual is at most 1e-15 theta, on a
+    breakdown (a zero alpha or beta, where theta is exact), or when the basis
+    spans the short side of A, k = min(m, n).  Each new vector is
+    orthogonalized against its basis twice: once lets a clustered top of the
+    spectrum lose the basis, and theta with it.  The value returned is
+    ``|A y|`` for the top right Ritz vector y, which is theta up to the
+    square of the residual and carries the rounding of one product, where
+    theta carries that of every step.
+    """
+    if A.shape[0] < A.shape[1]:
+        A = A.T  # the same singular values; a tall A ends with beta = 0 at k = n
+    AH = A.conj().T
+    v = np.random.default_rng(0).standard_normal(A.shape[1])
+    V = (v / np.linalg.norm(v))[None]  # the Lanczos vectors are rows, one added a step
+    U = np.empty((0, A.shape[0]), A.dtype)
+    alpha, beta = [], []
+    while True:
+        u = A @ V[-1]
+        for _ in range(2):
+            u -= (U.conj() @ u) @ U
+        a = b = np.linalg.norm(u)
+        if a:
+            U = np.vstack([U, u / a])
+            r = AH @ U[-1]
+            for _ in range(2):
+                r -= (V.conj() @ r) @ V
+            b = np.linalg.norm(r)
+        alpha.append(a)
+        beta.append(b)
+        P, s, Qh = np.linalg.svd(np.diag(alpha) + np.diag(beta[:-1], 1))
+        if b * abs(P[-1, 0]) <= 1e-15 * s[0] or len(V) == v.size:
+            break
+        V = np.vstack([V, r / b])
+    y = Qh[0] @ V  # B is real
+    return float(np.linalg.norm(A @ y) / np.linalg.norm(y))
+
+
 def _spectral_norm(T: np.ndarray) -> float:
-    """Largest singular value of a 2-d array (0 when it is empty); NaN when an
-    entry is not finite, as ``_max_abs`` gives for a diagonal holding a NaN,
-    so a y-ladder refuses such a sample by its norm."""
-    if not np.all(np.isfinite(np.abs(T))):
+    """Largest singular value of a 2-d array by ``_top_singular_value`` (0
+    when it is empty or zero); NaN when an entry is not finite, as
+    ``_max_abs`` gives for a diagonal holding a NaN, so a y-ladder refuses
+    such a sample by its norm.  T is first scaled by the power of two at its
+    largest entry, as LAPACK scales, and the value is scaled back: both steps
+    are exact, and no square in the iteration overflows or underflows."""
+    top = float(np.abs(T).max()) if T.size else 0.0
+    if not math.isfinite(top):
         return math.nan
-    return float(np.linalg.norm(T, 2)) if T.size else 0.0
+    if top == 0.0:
+        return 0.0
+    e = max(math.frexp(top)[1] - 1, -1023)  # top is in [2**e, 2**(e + 1)) unless subnormal
+    return _top_singular_value(T * 2.0**-e) * 2.0**e
 
 
 def operator_norm(T: np.ndarray) -> float:
-    """Largest singular value (0 for an empty matrix)."""
+    """Largest singular value (0 for an empty matrix), by the Krylov norm the
+    embedded samples take (``_spectral_norm``), so a sample's norm is its
+    ``operator_norm`` bit for bit."""
     norm = _spectral_norm(np.atleast_2d(np.asarray(T)))
     if math.isnan(norm):
         raise ValueError("operator_norm requires finite entries")

@@ -7,14 +7,21 @@ checks that division against an independent result.  Its fitted rates and
 residuals were rewritten when every line fit became one closed form; no
 sample or verdict moved.  It holds ``float.hex`` of every float, so signed
 zeros and the last bit count.  The seeded case forms its m x m products with
-BLAS and takes their norms with LAPACK, so its bits belong to one BLAS build.
-An identity sample's shadow is the finite sum of c_i / (x_i - z) with
-c_i = w_i^2 mu_i, so each identity shadow in the record is also checked
-against that sum computed exactly, in fractions, from the model's float
-inputs: a kept reference for a change that moves these bits.  To print the
-record the current code gives:
+BLAS and takes their norms by the oracle's Krylov iteration
+(``matrix_oracle._top_singular_value``), so its bits belong to one BLAS
+build; its norms and distances were rewritten when that iteration replaced
+LAPACK's SVD.  Beside it, ``matrix_reference.json`` keeps each of those norms
+and distances to 30 digits, computed in 40-digit mpmath apart from the oracle
+(``reference``), so that a change which moves these bits can say whether it
+moved toward the truth.  An identity sample's shadow is the finite sum of
+c_i / (x_i - z) with c_i = w_i^2 mu_i, so each identity shadow in the record
+is also checked against that sum computed exactly, in fractions, from the
+model's float inputs.  To print the record the current code gives, and the
+reference (mpmath is not a dependency: only the generator imports it, in
+about 5 s):
 
     PYTHONPATH=src python tests/test_matrix_golden.py
+    PYTHONPATH=src python tests/test_matrix_golden.py reference > tests/matrix_reference.json
 """
 
 import hashlib
@@ -27,9 +34,10 @@ from pathlib import Path
 import numpy as np
 
 import resolvent_limits.matrix_oracle as mo
-from resolvent_limits import Atom, DensityFamily, SpectralMeasure, WeightFunction, YSchedule, limit_probe
+from resolvent_limits import DIVERGES, Atom, DensityFamily, SpectralMeasure, WeightFunction, YSchedule, limit_probe
 
 RECORD = Path(__file__).with_name("matrix_golden.json")
+REFERENCE = Path(__file__).with_name("matrix_reference.json")
 SCHEDULE = YSchedule(y_max=1e-2, y_min=1e-6, ratio=0.5)  # 14 rungs
 LAM = 0.13
 # a thin constant background with an eigenvalue at lam, under a hat weight
@@ -138,5 +146,69 @@ def test_identity_shadows_are_the_exact_sums_within_rounding():
         assert _exact_error(model, keep, z, shadow) <= 3 + math.log2(model.size)
 
 
+EPS = sys.float_info.epsilon
+# every seeded norm and distance lies within 4 eps (relative) of its reference:
+# about twice the worst distance, 1.95 eps (1.50 eps when LAPACK took them)
+BOUND = 4 * EPS
+
+
+def test_seeded_norms_are_near_their_reference():
+    record, ref = (json.loads(path.read_text()) for path in (RECORD, REFERENCE))
+    assert ref.keys() == {name for name, args in PROBES.items() if args[1] != mo.SAME}
+    for name, exact in ref.items():
+        rows = record[name]["samples"]
+        pairs = [*zip((row[2] for row in rows), exact["norms"], strict=True)]
+        pairs += zip((row[3] for row in rows[1:]), exact["diffs"], strict=True)
+        assert len(pairs) == 27
+        for value, digits in pairs:
+            gap = abs(Fraction(float.fromhex(value)) / Fraction(digits) - 1)
+            assert gap <= BOUND, (name, value, float(gap) / EPS)
+
+
+def test_a_seeded_probe_near_the_float_limit_keeps_its_verdict():
+    # samples of size up to 1e299: the norm scales each matrix to entries of
+    # about 1 first, so no square in its iteration overflows
+    model = mo.discretize(MEASURE, WEIGHT, 40, 20, seed=5)
+    samples = []
+
+    def evaluator(z):
+        samples.append(mo.sandwiched_resolvent(model, z))
+        return samples[-1]
+
+    report = limit_probe(evaluator, LAM, YSchedule(y_max=1e-280, y_min=1e-300, ratio=0.01))
+    assert report.verdict == DIVERGES and abs(report.fitted_rate + 1.0) < 1e-12
+    assert len(samples) == 11 and report.samples[-1].norm > 1e299
+    for s, row in zip(samples, report.samples, strict=True):
+        sigma = np.linalg.svd(s.T, compute_uv=False)[0]
+        assert abs(row.norm - sigma) <= 8 * EPS * sigma
+
+
+def reference() -> dict:
+    """The largest singular value of every sample and of every difference of
+    neighbouring samples of each seeded probe, to 30 digits.  Each m x m
+    matrix ``J diag(c_i / (x_i - z)) J*`` is formed in 40-digit mpmath from
+    the model's float J, c, x and the rung's z, apart from the oracle, and
+    mpmath's SVD takes its norm.  mpmath is imported here only: tier-1 does
+    not need it."""
+    import mpmath
+
+    mpmath.mp.dps = 40
+    ref = {}
+    for name, (n, embedding_dim, seed, regularize) in PROBES.items():
+        if embedding_dim == mo.SAME:
+            continue
+        assert not regularize  # the raw sample keeps every node
+        model = mo.discretize(MEASURE, WEIGHT, n, embedding_dim, seed=seed)
+        J = mpmath.matrix(model.embedding.tolist())
+        samples = []
+        for y in SCHEDULE.values:
+            z = mpmath.mpc(LAM, y)
+            d = [mpmath.mpf(c) / (mpmath.mpf(x) - z) for c, x in zip(model.spectral_weights, model.nodes)]
+            samples.append(J * mpmath.diag(d) * J.T)
+        top = lambda T: mpmath.nstr(max(mpmath.svd_c(T, compute_uv=False)), 30)
+        ref[name] = {"norms": [top(T) for T in samples], "diffs": [top(b - a) for a, b in zip(samples, samples[1:])]}
+    return ref
+
+
 if __name__ == "__main__":
-    print(json.dumps(record(), indent=1))
+    print(json.dumps(reference() if sys.argv[1:] == ["reference"] else record(), indent=1))
